@@ -86,7 +86,6 @@ struct CliOptions {
       "                       (default none: a full table refuses new flows)\n"
       "  --themis-idle-timeout-us=N  idle aging threshold for --themis-aging=idle\n"
       "  --no-pfc             disable priority flow control\n"
-      "  --no-burst           scalar event dispatch (same as THEMIS_BURST=0; A/B, bisection)\n"
       "  --no-compensation    disable Themis NACK compensation\n"
       "  --no-grace           disable the pause-aware NACK grace window\n"
       "  --csv=PATH           write one row per flow (sizes, FCT, slowdown)\n"
@@ -113,10 +112,6 @@ CliOptions Parse(int argc, char** argv) {
       Usage(0);
     } else if (std::strcmp(arg, "--no-pfc") == 0) {
       opts.pfc = false;
-    } else if (std::strcmp(arg, "--no-burst") == 0) {
-      // The Simulator reads THEMIS_BURST at construction, wherever it is
-      // built; firing order is bit-identical either way (DESIGN.md).
-      setenv("THEMIS_BURST", "0", 1);
     } else if (std::strcmp(arg, "--no-compensation") == 0) {
       opts.compensation = false;
     } else if (std::strcmp(arg, "--no-grace") == 0) {

@@ -471,20 +471,6 @@ void Experiment::AttachTelemetry(Telemetry* telemetry) {
     return static_cast<double>(sim->queue().calendar_pending());
   });
 
-  // Burst drain-loop shape: cumulative tagged events dispatched in bursts,
-  // plus the per-length histogram (bucket k covers lengths (2^(k-1), 2^k]).
-  // All zero when THEMIS_BURST is off or no dispatcher is installed.
-  const SimBurstStats* burst = &sim_.burst_stats();
-  registry->RegisterGauge("sim.burst_events", [burst] {
-    return static_cast<double>(burst->burst_events);
-  });
-  registry->RegisterCounter("sim.bursts", &burst->bursts);
-  for (size_t k = 0; k < SimBurstStats::kLenBuckets; ++k) {
-    registry->RegisterCounter(
-        "sim.burst_len.le" + std::to_string(SimBurstStats::BucketCeiling(k)),
-        &burst->len_hist[k]);
-  }
-
   // Node names for the Chrome-trace process list.
   for (const Switch* sw : topology_.switches) {
     telemetry->SetNodeName(static_cast<uint16_t>(sw->id()), sw->name());

@@ -76,7 +76,6 @@ class Network {
   const std::vector<DuplexLink>& links() const { return links_; }
   Simulator* sim() const { return sim_; }
   const PacketArena& packet_arena() const { return packet_arena_; }
-  PacketArena& packet_arena() { return packet_arena_; }
 
   // Next node id to be assigned (== current node count).
   int NextId() const { return static_cast<int>(nodes_.size()); }

@@ -25,13 +25,11 @@
 // beyond the horizon are rejected by Accepts() and the caller routes them to
 // the heap tier instead (overflow-to-heap).
 //
-// Tagged entries (burst mode): the port serialization/delivery chain needs no
-// callback at all — the event is fully described by a non-zero uint64 tag
-// (port pointer + event kind) that a registered dispatcher decodes. Tagged
-// entries skip callback construction/move/invoke entirely, and because they
-// are self-describing the owner can pop a whole same-tick run of them in one
-// go (PopReadyTaggedRun) and hand it to the dispatcher as a burst. tag == 0
-// means "plain callback entry".
+// Tagged entries: the port serialization/delivery chain needs no callback at
+// all — the event is fully described by a non-zero uint64 tag (port pointer +
+// event kind) that a registered dispatcher decodes. Tagged entries skip
+// callback construction/move/invoke entirely and pop as their bare tag
+// (PopReadyTag). tag == 0 means "plain callback entry".
 //
 // SoA split: buckets and the ready heap hold 32-byte POD keys
 // (time, seq, tag, callback-slot); callbacks live in a side pool indexed by
@@ -172,33 +170,14 @@ class CalendarQueue {
     return cb;
   }
 
-  // Drains the maximal run of ready *tagged* entries firing exactly at `t`
-  // with seq strictly below `seq_bound` into `tags`/`seqs` (parallel arrays,
-  // capacity `max_n`). Stops at the first plain-callback entry, tick change,
-  // or bound crossing, so the run is exactly the events a scalar pop loop
-  // would fire consecutively. Returns the run length.
-  size_t PopReadyTaggedRun(TimePs t, uint64_t seq_bound, uint64_t* tags, uint64_t* seqs,
-                           size_t max_n) {
-    size_t n = 0;
-    while (n < max_n && !ready_.empty()) {
-      const Entry& front = ready_.front();
-      if (front.time != t || front.seq >= seq_bound || front.tag == 0) {
-        break;
-      }
-      std::pop_heap(ready_.begin(), ready_.end(), After{});
-      tags[n] = ready_.back().tag;
-      seqs[n] = ready_.back().seq;
-      ready_.pop_back();
-      ++n;
-    }
-    return n;
-  }
-
-  // Puts a popped-but-not-dispatched tagged entry back, keeping its original
-  // (time, seq) so a later pop replays the exact scalar order. Used when
-  // Stop() lands mid-burst.
-  void RestoreReady(TimePs t, uint64_t seq, uint64_t tag) {
-    PushReady(Entry{t, seq, tag, kNoSlot});
+  // Pre: HasReady() && ReadyIsTagged(). Pops the ready tagged entry and
+  // returns its tag.
+  uint64_t PopReadyTag(TimePs* time_out) {
+    std::pop_heap(ready_.begin(), ready_.end(), After{});
+    const Entry e = ready_.back();
+    ready_.pop_back();
+    *time_out = e.time;
+    return e.tag;
   }
 
   size_t pending() const { return in_bucket_count_ + ready_.size(); }

@@ -134,47 +134,26 @@ class EventQueue {
     return true;
   }
 
-  // Burst-mode fused pop: like PopIfNotAfter, but when the earliest event is
-  // a *tagged* calendar entry, drains the whole same-tick run of tagged
-  // entries into `tags`/`seqs` (up to `max_n`) and reports its length in
-  // `*burst_n`. The run is bounded by the sequence number of any heap or
-  // wheel event sharing the tick, so executing it front-to-back is
-  // (time, seq)-identical to `burst_n` scalar pops. `*burst_n == 0` means a
-  // plain callback event was popped into `*cb` instead. With `max_n == 1`
-  // this degrades to the scalar path, one tagged event per call — the
-  // THEMIS_BURST=off reference.
-  bool PopEventOrBurst(TimePs deadline, TimePs* time_out, Callback* cb, uint64_t* tags,
-                       uint64_t* seqs, size_t max_n, size_t* burst_n) {
-    *burst_n = 0;
+  // The run loop's pop: PopIfNotAfter, except that a tagged calendar entry
+  // comes out as its non-zero tag in `*tag` (leaving `*cb` untouched) for
+  // the Simulator's dispatcher to decode. Any other event comes out as its
+  // callback in `*cb`, with `*tag` set to 0.
+  bool PopEvent(TimePs deadline, TimePs* time_out, Callback* cb, uint64_t* tag) {
     if (empty()) {
       return false;
     }
     Sync();
     const Tier tier = BestTier();
-    const TimePs t = TierTime(tier);
-    if (t > deadline) {
+    if (TierTime(tier) > deadline) {
       return false;
     }
     if (tier == Tier::kCalendar && calendar_.ReadyIsTagged()) {
-      uint64_t bound = UINT64_MAX;
-      if (!heap_.empty() && heap_.front().time == t) {
-        bound = heap_.front().seq;
-      }
-      if (wheel_.HasReady() && wheel_.ReadyTime() == t && wheel_.ReadySeq() < bound) {
-        bound = wheel_.ReadySeq();
-      }
-      *burst_n = calendar_.PopReadyTaggedRun(t, bound, tags, seqs, max_n);
-      *time_out = t;
-      return true;  // the best entry was tagged and below bound: burst_n >= 1
+      *tag = calendar_.PopReadyTag(time_out);
+      return true;
     }
+    *tag = 0;
     *cb = PopTier(tier, time_out);
     return true;
-  }
-
-  // Re-inserts a tagged entry popped by PopEventOrBurst but not dispatched
-  // (Stop() landed mid-burst), preserving its original (time, seq).
-  void RestoreLineRate(TimePs t, uint64_t seq, uint64_t tag) {
-    calendar_.RestoreReady(t, seq, tag);
   }
 
   void Clear() {

@@ -15,10 +15,7 @@
 #ifndef THEMIS_SRC_SIM_SIMULATOR_H_
 #define THEMIS_SRC_SIM_SIMULATOR_H_
 
-#include <algorithm>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <utility>
 
@@ -30,33 +27,12 @@ namespace themis {
 
 class TraceSink;  // src/telemetry/trace.h; the executive only carries the pointer
 
-// Per-burst-length histogram for the burst drain loop (sim.burst_* telemetry
-// and the bench CSV). Bucket k covers lengths (2^(k-1), 2^k]: 1, 2, 3-4,
-// 5-8, ..., with the last bucket open-ended.
-struct SimBurstStats {
-  static constexpr size_t kLenBuckets = 8;
-  uint64_t bursts = 0;        // dispatcher invocations (including length 1)
-  uint64_t burst_events = 0;  // tagged events that went through the dispatcher
-  uint64_t len_hist[kLenBuckets] = {};
-
-  static constexpr uint64_t BucketCeiling(size_t k) { return uint64_t{1} << k; }
-};
-
 class Simulator {
  public:
-  // A registered dispatcher executes `n` tagged line-rate events in order and
-  // returns how many it completed; it returns early only when Stop() is
-  // raised between events, and the executive re-queues the remainder.
-  using LineRateDispatcher = size_t (*)(Simulator& sim, const uint64_t* tags, size_t n);
+  // A registered dispatcher decodes and executes one tagged line-rate event.
+  using LineRateDispatcher = void (*)(Simulator& sim, uint64_t tag);
 
-  // Per-tick burst cap. Longer same-tick runs split into multiple dispatches
-  // (smaller bursts are still exact); 128 covers every same-tick delivery
-  // fan-in the reproduced topologies produce.
-  static constexpr size_t kMaxBurst = 128;
-
-  explicit Simulator(uint64_t seed = 1) : rng_(seed) {
-    burst_enabled_ = !BurstDisabledByEnv();
-  }
+  explicit Simulator(uint64_t seed = 1) : rng_(seed) {}
 
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -105,29 +81,16 @@ class Simulator {
     const TimePs at = now_ + delay;
     if (!queue_.ScheduleLineRateTagged(at, tag)) {
       queue_.ScheduleAt(at, EventCallback::MustInline([this, tag] {
-        const uint64_t single = tag;
-        line_rate_dispatcher_(*this, &single, 1);
+        line_rate_dispatcher_(*this, tag);
       }));
     }
   }
 
-  // Installs the decoder for tagged events (Port::DispatchBurst; tests may
+  // Installs the decoder for tagged events (Port::Dispatch; tests may
   // install their own). One per simulator; installing is idempotent.
   void SetLineRateDispatcher(LineRateDispatcher dispatcher) {
     line_rate_dispatcher_ = dispatcher;
   }
-
-  // Burst mode (default on; THEMIS_BURST=off/0 or set_burst_enabled(false)
-  // selects the scalar reference path, which pops and dispatches tagged
-  // events one at a time). Firing order is identical either way — burst mode
-  // only batches the drain, it never reorders.
-  void set_burst_enabled(bool enabled) { burst_enabled_ = enabled; }
-  bool burst_enabled() const { return burst_enabled_; }
-  const SimBurstStats& burst_stats() const { return burst_stats_; }
-
-  // True between Stop() and the run loop honoring it; dispatchers poll this
-  // between tagged events so a mid-burst Stop() matches scalar semantics.
-  bool stop_requested() const { return stopped_; }
 
   // Sizes the calendar tier to the fabric's serialization quantum; called by
   // Network::AutoSizeScheduler at build time. See EventQueue.
@@ -167,30 +130,18 @@ class Simulator {
     uint64_t executed = 0;
     TimePs t = 0;
     EventQueue::Callback cb;
-    uint64_t tags[kMaxBurst];
-    uint64_t seqs[kMaxBurst];
-    // Burst drain: tagged same-tick calendar runs come out of the fused pop
-    // as one flat array and pay one tier sync for the whole run; everything
-    // else pops one callback at a time, exactly as before. With burst mode
-    // off, max_run == 1 turns the tagged path into the scalar reference.
-    const size_t max_run = burst_enabled_ && line_rate_dispatcher_ != nullptr ? kMaxBurst : 1;
-    size_t burst_n = 0;
-    while (!stopped_ &&
-           queue_.PopEventOrBurst(deadline, &t, &cb, tags, seqs, max_run, &burst_n)) {
+    uint64_t tag = 0;
+    // One event per iteration, in (time, seq) order across all tiers. A
+    // tagged calendar entry pops as its tag and goes to the dispatcher;
+    // everything else pops as its callback.
+    while (!stopped_ && queue_.PopEvent(deadline, &t, &cb, &tag)) {
       now_ = t;
-      if (burst_n > 0) {
-        RecordBurst(burst_n);
-        const size_t done = line_rate_dispatcher_(*this, tags, burst_n);
-        executed += done;
-        // Stop() mid-burst: put the undispatched tail back with its original
-        // (time, seq) so a resumed run replays the exact scalar order.
-        for (size_t k = done; k < burst_n; ++k) {
-          queue_.RestoreLineRate(t, seqs[k], tags[k]);
-        }
+      if (tag != 0) {
+        line_rate_dispatcher_(*this, tag);
       } else {
         cb();
-        ++executed;
       }
+      ++executed;
     }
     if (!stopped_ && deadline != kTimeInfinity && now_ < deadline) {
       now_ = deadline;
@@ -214,32 +165,13 @@ class Simulator {
   void set_trace_sink(TraceSink* sink) { trace_sink_ = sink; }
 
  private:
-  static bool BurstDisabledByEnv() {
-    const char* v = std::getenv("THEMIS_BURST");
-    if (v == nullptr) {
-      return false;
-    }
-    return std::strcmp(v, "0") == 0 || std::strcmp(v, "off") == 0 ||
-           std::strcmp(v, "OFF") == 0 || std::strcmp(v, "false") == 0;
-  }
-
-  void RecordBurst(size_t n) {
-    ++burst_stats_.bursts;
-    burst_stats_.burst_events += n;
-    // Bucket k covers (2^(k-1), 2^k]: k = ceil(log2(n)), clamped.
-    const size_t k = n <= 1 ? 0 : static_cast<size_t>(64 - __builtin_clzll(n - 1));
-    ++burst_stats_.len_hist[std::min(k, SimBurstStats::kLenBuckets - 1)];
-  }
-
   TimePs now_ = 0;
   bool stopped_ = false;
-  bool burst_enabled_ = true;
   uint64_t events_executed_ = 0;
   EventQueue queue_;
   Rng rng_;
   TraceSink* trace_sink_ = nullptr;
   LineRateDispatcher line_rate_dispatcher_ = nullptr;
-  SimBurstStats burst_stats_;
 };
 
 // A cancellable, re-armable one-shot timer backed by the timer wheel.

@@ -258,8 +258,8 @@ bool ThemisD::HandleData(Switch& sw, const Packet& pkt) {
   FlowEntry& entry = *cached;
 
   // Fast path: no audit, grace, or compensation armed — the packet only
-  // needs its PSN pushed (the common case, and the whole burst's data run
-  // when nothing is in flight with the validator).
+  // needs its PSN pushed (the common case whenever nothing is in flight
+  // with the validator).
   if (!entry.valid_pending && !entry.grace_pending && !entry.valid) {
     entry.queue.Push(pkt.psn, now);
     ++stats_.data_tracked;

@@ -124,13 +124,6 @@ class ThemisD : public SwitchHook {
 
   bool OnIngress(Switch& sw, Packet& pkt, int in_port) override;
 
-  // Must run per packet at its registered position (it schedules events via
-  // compensated-NACK Forwards, whose seq allocation order the goldens pin
-  // down), but never mutates packets, consumes only control packets, and
-  // never fails ports or edits routes — so pre-staged egress choices for the
-  // burst's data packets stay valid.
-  IngressBurstClass burst_class() const override { return IngressBurstClass::kPerPacket; }
-
   void set_enabled(bool enabled) { enabled_ = enabled; }
   bool enabled() const { return enabled_; }
 
@@ -237,9 +230,9 @@ class ThemisD : public SwitchHook {
   ThemisDConfig config_;
   std::function<bool(const Packet&)> is_cross_rack_;
   bool enabled_ = true;
-  // Last-flow cache for the data hot path: same-tick bursts are dominated by
-  // runs of packets from few flows, and FlowTable entry pointers stay valid
-  // across inserts, so one compare replaces the hash lookup for run-mates.
+  // Last-flow cache for the data hot path: consecutive data packets at a ToR
+  // often belong to one flow, and FlowTable entry pointers stay valid across
+  // inserts, so one compare replaces the hash lookup for a repeat flow.
   // Invalidation contract: cleared by ResetFlowState AND whenever the cached
   // flow itself is evicted (OnFlowEvicted) — eviction reuses the slot, so a
   // stale pointer would alias the replacement flow's entry. cached_slot_

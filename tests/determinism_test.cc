@@ -39,10 +39,8 @@ namespace {
 // for the whole run. Telemetry is pure observation, so the digest must be
 // bit-identical either way.
 uint64_t TraceHash(Scheme scheme, uint64_t seed, bool traced = false,
-                   uint64_t* calendar_scheduled_out = nullptr, bool pfc = true,
-                   bool burst = true) {
+                   uint64_t* calendar_scheduled_out = nullptr, bool pfc = true) {
   Experiment exp(DeterminismConfig(scheme, seed, pfc));
-  exp.sim().set_burst_enabled(burst);
   std::unique_ptr<Telemetry> telemetry;
   if (traced) {
     telemetry = std::make_unique<Telemetry>(&exp.sim());
@@ -106,19 +104,6 @@ TEST(DeterminismTest, CalendarTierCarriesHotPathAndStaysInvisible) {
     EXPECT_EQ(TraceHash(g.scheme, g.seed, /*traced=*/false, &calendar_scheduled), g.hash)
         << SchemeName(g.scheme) << " seed=" << g.seed;
     EXPECT_GT(calendar_scheduled, 0u) << SchemeName(g.scheme) << " seed=" << g.seed;
-  }
-}
-
-TEST(DeterminismTest, ScalarFallbackReproducesGoldens) {
-  // THEMIS_BURST=0 / --no-burst must be bit-identical to burst mode: the
-  // burst drain batches same-tick runs, it never reorders. This pins the
-  // whole pipeline — staged hooks, LB staging, fused tail — against the
-  // scalar reference at full-system scale.
-  for (const Golden& g : kGoldens) {
-    EXPECT_EQ(TraceHash(g.scheme, g.seed, /*traced=*/false, nullptr, g.pfc,
-                        /*burst=*/false),
-              g.hash)
-        << SchemeName(g.scheme) << " seed=" << g.seed << " (scalar fallback)";
   }
 }
 

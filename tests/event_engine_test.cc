@@ -602,54 +602,44 @@ TEST(RunUntilTest, AdvancesClockToDeadlineOnEarlyExit) {
 }
 
 // ---------------------------------------------------------------------------
-// Burst drain-loop property tests. A recording dispatcher logs every tagged
-// event it executes as (fire time, tag); the burst path (same-tick runs
-// handed over as flat arrays) must replay the scalar reference — burst mode
-// off, one tagged event per dispatch — bit-exactly, under randomized tick
-// collisions, run-breaking callbacks, same-tick heap bounds, and
-// overflow-to-heap tagged entries.
+// Tagged dispatch ordering. Every event — tagged or callback — gets an id in
+// schedule order, and the reference (fire time, id) pair is recorded when it
+// is scheduled. Ids grow with sequence numbers, so the fired log must equal
+// the sorted reference under same-tick bursts of tagged events, run-breaking
+// callbacks, same-tick heap events and tagged overflow to the heap.
 
-struct BurstLog {
-  std::vector<std::pair<TimePs, uint64_t>> events;  // tag 0 = plain callback
-  size_t dispatches = 0;
-};
+using FiredLog = std::vector<std::pair<TimePs, uint64_t>>;  // (fire time, id)
 
-BurstLog* g_burst_log = nullptr;
-uint64_t g_stop_tag = 0;  // StoppingDispatcher raises Stop() after this tag
+FiredLog* g_fired = nullptr;
+uint64_t g_stop_tag = 0;  // RecordingDispatcher raises Stop() after this tag
 
-size_t RecordingDispatcher(Simulator& sim, const uint64_t* tags, size_t n) {
-  ++g_burst_log->dispatches;
-  for (size_t i = 0; i < n; ++i) {
-    g_burst_log->events.emplace_back(sim.now(), tags[i]);
+void RecordingDispatcher(Simulator& sim, uint64_t tag) {
+  g_fired->emplace_back(sim.now(), tag);
+  if (tag == g_stop_tag) {
+    sim.Stop();
   }
-  return n;
-}
-
-size_t StoppingDispatcher(Simulator& sim, const uint64_t* tags, size_t n) {
-  ++g_burst_log->dispatches;
-  for (size_t i = 0; i < n; ++i) {
-    if (sim.stop_requested()) {
-      return i;  // undispatched tail goes back to the queue
-    }
-    g_burst_log->events.emplace_back(sim.now(), tags[i]);
-    if (tags[i] == g_stop_tag) {
-      sim.Stop();
-    }
-  }
-  return n;
 }
 
 // Self-rescheduling volley generator: each firing packs several tagged events
 // onto few distinct ticks (collisions on purpose), sometimes adds a
 // run-breaking plain callback or a same-tick heap event, and occasionally
 // throws a tagged event beyond the calendar horizon (heap-wrapper path).
+// Every delay is a multiple of 32 ps, so events from different volleys land
+// on shared ticks too, with the earlier-scheduled one in either tier.
+// A tagged event's id is its tag.
 struct BurstStorm {
   Simulator* sim = nullptr;
   Rng* rng = nullptr;
   int volleys = 0;
-  uint64_t next_tag = 8;  // non-zero, distinct per event
+  uint64_t next_id = 1;  // non-zero: ids double as tags
+  FiredLog reference;
 
-  void LogCallback() { g_burst_log->events.emplace_back(sim->now(), 0); }
+  uint64_t Expect(TimePs delay) {
+    reference.emplace_back(sim->now() + delay, next_id);
+    return next_id++;
+  }
+
+  void Tagged(TimePs delay) { sim->SchedulePortEvent(delay, Expect(delay)); }
 
   void Fire() {
     if (volleys-- <= 0) {
@@ -657,80 +647,99 @@ struct BurstStorm {
     }
     const int m = 1 + static_cast<int>(rng->Below(6));
     for (int i = 0; i < m; ++i) {
-      sim->SchedulePortEvent(static_cast<TimePs>(rng->Below(4)) * 32, next_tag);
-      next_tag += 8;
+      Tagged(static_cast<TimePs>(rng->Below(4)) * 32);
     }
     switch (rng->Below(4)) {
-      case 0:  // plain line-rate callback: breaks any tagged run on its tick
-        sim->ScheduleSerialization(static_cast<TimePs>(rng->Below(4)) * 32,
-                                   [this] { LogCallback(); });
+      case 0: {  // plain line-rate callback: sits between tagged events on its tick
+        const TimePs delay = static_cast<TimePs>(rng->Below(4)) * 32;
+        const uint64_t id = Expect(delay);
+        sim->ScheduleSerialization(delay, [this, id] { g_fired->emplace_back(sim->now(), id); });
         break;
-      case 1:  // same-tick heap event: bounds the run by its sequence number
-        sim->ScheduleInline(static_cast<TimePs>(rng->Below(4)) * 32,
-                            [this] { LogCallback(); });
+      }
+      case 1: {  // same-tick heap event: merges with the calendar by seq
+        const TimePs delay = static_cast<TimePs>(rng->Below(4)) * 32;
+        const uint64_t id = Expect(delay);
+        sim->ScheduleInline(delay, [this, id] { g_fired->emplace_back(sim->now(), id); });
         break;
+      }
       case 2:  // far beyond the 1024 ps horizon: tagged overflow rides the heap
-        sim->SchedulePortEvent(50'000 + static_cast<TimePs>(rng->Below(1'000)), next_tag);
-        next_tag += 8;
+        Tagged(static_cast<TimePs>(1'560 + rng->Below(32)) * 32);
         break;
       default:
         break;
     }
-    sim->ScheduleInline(32 + static_cast<TimePs>(rng->Below(200)), [this] { Fire(); });
+    const TimePs delay = static_cast<TimePs>(1 + rng->Below(6)) * 32;
+    const uint64_t id = Expect(delay);
+    sim->ScheduleInline(delay, [this, id] {
+      g_fired->emplace_back(sim->now(), id);
+      Fire();
+    });
   }
 };
 
 TEST(BurstDispatchTest, MatchesScalarReferenceUnderRandomTickCollisions) {
-  size_t scalar_dispatches = 0;
-  size_t burst_dispatches = 0;
+  size_t same_tick_pairs = 0;
   for (uint64_t seed = 1; seed <= 8; ++seed) {
-    BurstLog logs[2];
-    for (int mode = 0; mode < 2; ++mode) {
-      Simulator sim(seed);
-      ASSERT_TRUE(sim.ConfigureCalendar(6, 16));  // 64 ps buckets, 1024 ps horizon
-      sim.set_burst_enabled(mode == 1);
-      sim.SetLineRateDispatcher(&RecordingDispatcher);
-      g_burst_log = &logs[mode];
-      Rng rng(seed * 1'000 + 7);
-      BurstStorm storm{&sim, &rng, 120, 8};
-      sim.ScheduleInline(0, [&storm] { storm.Fire(); });
-      sim.RunUntil(kTimeInfinity);
-      g_burst_log = nullptr;
+    Simulator sim(seed);
+    ASSERT_TRUE(sim.ConfigureCalendar(6, 16));  // 64 ps buckets, 1024 ps horizon
+    sim.SetLineRateDispatcher(&RecordingDispatcher);
+    FiredLog fired;
+    g_fired = &fired;
+    Rng rng(seed * 1'000 + 7);
+    BurstStorm storm;
+    storm.sim = &sim;
+    storm.rng = &rng;
+    storm.volleys = 120;
+    sim.ScheduleInline(0, [&storm] { storm.Fire(); });
+    sim.RunUntil(kTimeInfinity);
+    g_fired = nullptr;
+
+    ASSERT_FALSE(fired.empty());
+    std::sort(storm.reference.begin(), storm.reference.end());
+    EXPECT_EQ(fired, storm.reference) << "firing order diverged, seed " << seed;
+    for (size_t i = 1; i < fired.size(); ++i) {
+      same_tick_pairs += fired[i].first == fired[i - 1].first ? 1 : 0;
     }
-    ASSERT_FALSE(logs[0].events.empty());
-    EXPECT_EQ(logs[0].events, logs[1].events) << "burst order diverged, seed " << seed;
-    // Grouping only ever merges dispatches, never splits them.
-    EXPECT_LE(logs[1].dispatches, logs[0].dispatches) << "seed " << seed;
-    scalar_dispatches += logs[0].dispatches;
-    burst_dispatches += logs[1].dispatches;
   }
-  // The collision-heavy schedule must actually have formed multi-event runs.
-  EXPECT_LT(burst_dispatches, scalar_dispatches);
+  // The collision-heavy schedule must actually have put events on one tick.
+  EXPECT_GT(same_tick_pairs, 0u);
+}
+
+TEST(BurstDispatchTest, StopInsideTaggedEventLeavesSameTickTailPending) {
+  Simulator sim(1);
+  ASSERT_TRUE(sim.ConfigureCalendar(6, 16));
+  sim.SetLineRateDispatcher(&RecordingDispatcher);
+  FiredLog fired;
+  g_fired = &fired;
+  for (uint64_t tag = 1; tag <= 6; ++tag) {
+    sim.SchedulePortEvent(64, tag);  // six tagged events on one tick
+  }
+  g_stop_tag = 3;
+  sim.RunUntil(kTimeInfinity);
+  g_fired = nullptr;
+  g_stop_tag = 0;
+  EXPECT_EQ(fired, (FiredLog{{64, 1}, {64, 2}, {64, 3}}));
+  EXPECT_EQ(sim.now(), 64);  // Stop() keeps the clock at the stopping event
+  EXPECT_EQ(sim.queue().calendar_pending(), 3u);
 }
 
 TEST(BurstDispatchTest, StopMidBurstRestoresUndispatchedTail) {
   Simulator sim(1);
   ASSERT_TRUE(sim.ConfigureCalendar(6, 16));
-  sim.set_burst_enabled(true);
-  sim.SetLineRateDispatcher(&StoppingDispatcher);
-  BurstLog log;
-  g_burst_log = &log;
-  for (uint64_t i = 1; i <= 6; ++i) {
-    sim.SchedulePortEvent(64, i * 8);  // one same-tick run of six
+  sim.SetLineRateDispatcher(&RecordingDispatcher);
+  FiredLog fired;
+  g_fired = &fired;
+  for (uint64_t tag = 1; tag <= 6; ++tag) {
+    sim.SchedulePortEvent(64, tag);
   }
-  g_stop_tag = 3 * 8;  // Stop() lands mid-burst, after the third event
+  g_stop_tag = 3;
   sim.RunUntil(kTimeInfinity);
-  EXPECT_EQ(log.events.size(), 3u);
-  EXPECT_EQ(sim.now(), 64);  // Stop() keeps the clock at the stopping event
-  // The tail was restored with its original (time, seq): resuming replays
-  // the remaining three in the exact scalar order.
+  // Resuming fires the three events left on the tick, in schedule order.
   g_stop_tag = 0;
   sim.RunUntil(kTimeInfinity);
-  ASSERT_EQ(log.events.size(), 6u);
-  for (uint64_t i = 0; i < 6; ++i) {
-    EXPECT_EQ(log.events[i], (std::pair<TimePs, uint64_t>(64, (i + 1) * 8)));
-  }
-  g_burst_log = nullptr;
+  g_fired = nullptr;
+  EXPECT_EQ(fired, (FiredLog{{64, 1}, {64, 2}, {64, 3}, {64, 4}, {64, 5}, {64, 6}}));
+  EXPECT_FALSE(sim.HasPendingEvents());
 }
 
 }  // namespace

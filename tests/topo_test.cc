@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "src/topo/fat_tree.h"
 #include "src/topo/leaf_spine.h"
@@ -262,6 +263,22 @@ TEST(SwitchTest, MarkHostPortQueries) {
   EXPECT_TRUE(sw->IsHostPort(1));
   EXPECT_FALSE(sw->IsHostPort(7));
   EXPECT_FALSE(sw->IsHostPort(-1));
+}
+
+TEST(SwitchDeathTest, RouteWiderThanMaxEqualCostPathsAborts) {
+  Simulator sim;
+  Network net(&sim);
+  Switch* sw = net.MakeNode<Switch>("wide");
+  std::vector<int> ports;
+  for (size_t i = 0; i <= Switch::kMaxEqualCostPaths; ++i) {
+    ports.push_back(sw->AddPort());
+  }
+  ASSERT_EQ(ports.size(), 65u);
+  // Exactly kMaxEqualCostPaths candidates is a legal route.
+  sw->SetRoute(0, std::vector<int>(ports.begin(), ports.end() - 1));
+  EXPECT_EQ(sw->RouteCandidates(0).size(), Switch::kMaxEqualCostPaths);
+  EXPECT_DEATH(sw->SetRoute(1, ports),
+               "switch wide: route to node 1 has 65 equal-cost ports, more than 64");
 }
 
 // --- Fat-tree ----------------------------------------------------------------
