@@ -7,9 +7,9 @@
 //     pattern distilled: tiny captures, constant timer arm/cancel churn, a
 //     queue depth of a few hundred entries.
 //  2. A real Fig.-1-scale collective (2x4x8 hosts, RandomSpray + NIC-SR +
-//     DCQCN), measuring end-to-end events/sec through the full model stack
-//     and the per-tier schedule counts, which are exact and identical on
-//     every rep.
+//     DCQCN), measuring end-to-end events/sec through the full model stack,
+//     the per-tier schedule counts, and the calendar's collected bucket
+//     and entry counts, all exact and identical on every rep.
 //
 // Rates are host-dependent trends; the event and schedule counts are the
 // determinism anchor (CI pins them).
@@ -102,6 +102,8 @@ struct TierBreakdown {
   uint64_t heap = 0;
   uint64_t wheel = 0;
   uint64_t calendar = 0;
+  uint64_t calendar_buckets_collected = 0;
+  uint64_t calendar_entries_collected = 0;
   double best_events_per_sec = 0.0;
   uint64_t events_executed = 0;  // determinism anchor: identical across reps
 };
@@ -135,8 +137,13 @@ TierBreakdown RunFig1Scale(int reps) {
     const EventQueue& q = exp.sim().queue();
     const double best = rate > breakdown.best_events_per_sec ? rate
                                                              : breakdown.best_events_per_sec;
-    breakdown = TierBreakdown{q.heap_scheduled(), q.wheel_scheduled(), q.calendar_scheduled(),
-                              best, exp.sim().events_executed()};
+    breakdown = TierBreakdown{q.heap_scheduled(),
+                              q.wheel_scheduled(),
+                              q.calendar_scheduled(),
+                              q.calendar().buckets_collected(),
+                              q.calendar().entries_collected(),
+                              best,
+                              exp.sim().events_executed()};
   }
   std::printf("  per-tier scheduled: heap=%llu wheel=%llu calendar=%llu "
               "(calendar share %.1f%%)\n",
@@ -145,12 +152,18 @@ TierBreakdown RunFig1Scale(int reps) {
               static_cast<unsigned long long>(breakdown.calendar),
               100.0 * static_cast<double>(breakdown.calendar) /
                   static_cast<double>(breakdown.heap + breakdown.wheel + breakdown.calendar));
+  std::printf("  calendar collected: %llu buckets, %llu entries (%.2f per bucket)\n",
+              static_cast<unsigned long long>(breakdown.calendar_buckets_collected),
+              static_cast<unsigned long long>(breakdown.calendar_entries_collected),
+              static_cast<double>(breakdown.calendar_entries_collected) /
+                  static_cast<double>(breakdown.calendar_buckets_collected));
   return breakdown;
 }
 
-// Writes the per-tier breakdown, the executed-event count and the best rate
-// as CSV when THEMIS_HOTPATH_CSV names a path; CI uploads it as an artifact
-// and checks the counts against pinned values.
+// Writes the per-tier breakdown, the calendar collection counts, the
+// executed-event count and the best rate as CSV when THEMIS_HOTPATH_CSV
+// names a path; CI uploads it as an artifact and checks the counts against
+// pinned values and the entries-per-bucket bound.
 void MaybeWriteTierCsv(const TierBreakdown& fig1) {
   const char* path = std::getenv("THEMIS_HOTPATH_CSV");
   if (path == nullptr || path[0] == '\0') {
@@ -165,6 +178,9 @@ void MaybeWriteTierCsv(const TierBreakdown& fig1) {
                static_cast<unsigned long long>(fig1.heap),
                static_cast<unsigned long long>(fig1.wheel),
                static_cast<unsigned long long>(fig1.calendar));
+  std::fprintf(f, "calendar_buckets_collected,%llu\ncalendar_entries_collected,%llu\n",
+               static_cast<unsigned long long>(fig1.calendar_buckets_collected),
+               static_cast<unsigned long long>(fig1.calendar_entries_collected));
   std::fprintf(f, "fig1_events_executed,%llu\n",
                static_cast<unsigned long long>(fig1.events_executed));
   std::fprintf(f, "fig1_best_events_per_sec,%.0f\n", fig1.best_events_per_sec * 1e6);

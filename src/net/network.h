@@ -60,13 +60,17 @@ class Network {
   // parameters in both directions.
   DuplexLink Connect(Node* a, Node* b, const LinkSpec& spec);
 
-  // Sizes the simulator's calendar tier from the links wired so far: bucket
-  // width = the largest power of two not exceeding one MTU serialization
-  // time at the fastest link rate, bucket count = enough to cover a
-  // serialization plus the longest propagation delay twice over (the cursor
-  // re-anchors mid-horizon). Topology builders call this once after wiring;
-  // Experiment re-calls it with the configured MTU. Idempotent and a no-op
-  // (returns false) if events are already pending or no links exist.
+  // Sizes the simulator's calendar tier from the links wired so far.
+  // Horizon: a serialization plus the longest propagation delay, twice over
+  // (the cursor re-anchors mid-horizon), with slack; it sets how far ahead
+  // an entry may fire before it overflows to the heap. Bucket width: the
+  // largest power of two not above that window over the fabric's in-flight
+  // population — per directed port, one serialization event plus one
+  // delivery per MTU packet on the wire — so buckets stay a few entries
+  // deep at full load.
+  // Topology builders call this once after wiring; Experiment re-calls it
+  // with the configured MTU. Idempotent and a no-op (returns false) if
+  // events are already pending or no links exist.
   bool AutoSizeScheduler(uint32_t mtu_bytes = 1500);
 
   Node* node(int id) { return nodes_[static_cast<size_t>(id)].get(); }

@@ -220,8 +220,8 @@ class Port {
   PacketQueue control_queue_;
   PacketQueue data_queue_;
   // Packets serialized onto the wire but not yet delivered. Arrival events
-  // capture no packet payload (cheap, allocation-free std::function); the
-  // FIFO is valid because per-link arrival times are monotone.
+  // are bare kPortTagDeliver tags that carry no packet; the FIFO is valid
+  // because per-link arrival times are monotone.
   PacketQueue in_flight_;
   int64_t queued_data_bytes_ = 0;
   // Exogenous pressure (SetBackgroundPressure): virtual occupancy and the

@@ -152,7 +152,6 @@ void SenderQp::AdvanceUna(uint32_t new_una) {
       unacked_bytes_ -= it->second;
       unacked_.erase(it);
     }
-    sacked_.erase(snd_una_);
     retransmitted_once_.erase(snd_una_);
     snd_una_ = PsnAdd(snd_una_, 1);
   }
@@ -192,11 +191,9 @@ void SenderQp::ProcessSack(uint32_t sacked_psn) {
   if (PsnLt(sacked_psn, snd_una_)) {
     return;  // already cumulatively covered
   }
-  if (sacked_.insert(sacked_psn).second) {
-    if (!any_sacked_ || PsnGt(sacked_psn, highest_sacked_)) {
-      highest_sacked_ = sacked_psn;
-      any_sacked_ = true;
-    }
+  if (!any_sacked_ || PsnGt(sacked_psn, highest_sacked_)) {
+    highest_sacked_ = sacked_psn;
+    any_sacked_ = true;
   }
   // Head-loss detection: if packets far beyond the unacknowledged head have
   // been selectively acknowledged, the head has been overtaken by more than

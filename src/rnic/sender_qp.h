@@ -139,8 +139,8 @@ class SenderQp {
   // (re)sent — prevents every further NACK/SACK from re-firing the same gap.
   std::unordered_set<uint32_t> retransmitted_once_;
 
-  // kMultipath selective-ack state.
-  std::unordered_set<uint32_t> sacked_;
+  // kMultipath selective-ack state: the serial-order high-water mark of
+  // SACKed PSNs, which is all head-loss detection reads.
   uint32_t highest_sacked_ = 0;
   bool any_sacked_ = false;
   bool head_rtx_fired_ = false;  // head-loss retransmit armed once per una

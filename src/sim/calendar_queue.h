@@ -2,11 +2,13 @@
 //
 // After the timer-wheel refactor the binary heap holds almost exclusively
 // port serialization/delivery events: two per packet, both scheduled at most
-// one serialization quantum plus one propagation delay ahead of now, firing
-// at near-uniform spacing (one MTU at line rate). A calendar queue whose
-// bucket width is tuned to that quantum makes this remaining hot path O(1)
-// per event: insert is a push_back into the target bucket, and the cursor
-// collects at most one mostly-singleton bucket per pop.
+// one serialization quantum plus one propagation delay ahead of now. Every
+// busy port contributes such a chain, so the fabric as a whole fires them at
+// a spacing of roughly (quantum + propagation) / in-flight population. A
+// calendar queue whose bucket width is tuned to that fabric-wide spacing
+// (Network::AutoSizeScheduler) makes this hot path O(1) per event: insert
+// links a node into the target bucket, and the cursor collects at most one
+// bucket of a few entries per pop.
 //
 // Determinism contract (same as the timer wheel): every entry carries the
 // sequence number handed out by the owning EventQueue, buckets drain through
@@ -15,8 +17,15 @@
 // a single global heap.
 //
 // Entries are non-cancellable (serialization/delivery chains never cancel),
-// which is what keeps the tier this simple: no nodes, no generations, no
-// tombstones — just small (time, seq, tag, slot) keys moved bucket -> ready.
+// which is what keeps the tier this simple: no generations, no tombstones —
+// just small (time, seq, tag, slot) keys moved bucket -> ready.
+//
+// Storage: each bucket is an intrusive singly-linked list threaded through
+// one flat node pool, with a uint32 head per bucket; collected nodes return
+// to a freelist threaded through the same `next` field. An empty bucket
+// therefore costs 4 bytes, which is what lets the geometry use tens of
+// thousands of narrow buckets. Insertion order inside a bucket is
+// irrelevant: the ready heap restores (time, seq) order on collection.
 //
 // Cursor policy: the cursor only advances while collecting. When no entry is
 // bucketed, the next insert re-anchors the cursor half a horizon behind the
@@ -31,7 +40,7 @@
 // callback construction/move/invoke entirely and pop as their bare tag
 // (PopReadyTag). tag == 0 means "plain callback entry".
 //
-// SoA split: buckets and the ready heap hold 32-byte POD keys
+// SoA split: bucket nodes and the ready heap hold 32-byte POD keys
 // (time, seq, tag, callback-slot); callbacks live in a side pool indexed by
 // slot. Tagged entries (the vast majority at line rate) never touch the pool,
 // and a callback entry moves its 64-byte InlineCallback exactly twice —
@@ -62,7 +71,7 @@ class CalendarQueue {
 
   bool configured() const { return width_bits_ > 0; }
   TimePs bucket_width() const { return configured() ? (TimePs{1} << width_bits_) : 0; }
-  int bucket_count() const { return static_cast<int>(buckets_.size()); }
+  int bucket_count() const { return static_cast<int>(heads_.size()); }
   TimePs horizon() const { return horizon_; }
 
   // (Re)configures the bucket array. Only legal while the queue is empty;
@@ -77,8 +86,7 @@ class CalendarQueue {
     assert(bucket_count > 0 && (bucket_count & (bucket_count - 1)) == 0);
     width_bits_ = width_bits;
     mask_ = static_cast<uint64_t>(bucket_count - 1);
-    buckets_.clear();
-    buckets_.resize(static_cast<size_t>(bucket_count));
+    heads_.assign(static_cast<size_t>(bucket_count), kNil);
     occupancy_.assign(static_cast<size_t>((bucket_count + 63) / 64), 0);
     horizon_ = static_cast<TimePs>(bucket_count) << width_bits_;
     cal_time_ = 0;
@@ -100,14 +108,14 @@ class CalendarQueue {
   // Inserts an entry firing at absolute time `at`, carrying the caller's
   // queue-wide sequence number. Pre: Accepts(at).
   void Schedule(TimePs at, uint64_t seq, Callback cb) {
-    ScheduleEntry(Entry{at, seq, 0, AllocSlot(std::move(cb))});
+    ScheduleEntry(Entry{at, seq, 0, AllocSlot(std::move(cb)), kNil});
   }
 
   // Tagged (callback-free) variant for the port event chain. `tag` must be
   // non-zero; the owner's dispatcher decodes it. Pre: Accepts(at).
   void ScheduleTagged(TimePs at, uint64_t seq, uint64_t tag) {
     assert(tag != 0);
-    ScheduleEntry(Entry{at, seq, tag, kNoSlot});
+    ScheduleEntry(Entry{at, seq, tag, kNoSlot, kNil});
   }
 
   // Moves every entry that could fire at or before `bound` (given what is
@@ -182,11 +190,17 @@ class CalendarQueue {
 
   size_t pending() const { return in_bucket_count_ + ready_.size(); }
 
+  // Deterministic occupancy counters: buckets the cursor collected and the
+  // entries they held. Their ratio is the mean collected bucket size, which
+  // bounds the ready heap's depth; the geometry keeps it in single digits.
+  uint64_t buckets_collected() const { return buckets_collected_; }
+  uint64_t entries_collected() const { return entries_collected_; }
+
   void Clear() {
-    for (auto& bucket : buckets_) {
-      bucket.clear();
-    }
+    std::fill(heads_.begin(), heads_.end(), kNil);
     std::fill(occupancy_.begin(), occupancy_.end(), 0);
+    nodes_.clear();  // keeps capacity; the freelist restarts empty
+    free_node_ = kNil;
     ready_.clear();
     cb_pool_.clear();
     free_slots_.clear();
@@ -196,14 +210,18 @@ class CalendarQueue {
 
  private:
   static constexpr uint32_t kNoSlot = ~uint32_t{0};
+  static constexpr uint32_t kNil = ~uint32_t{0};  // end of a node list
 
-  // 32-byte POD key: this is what buckets store and the ready heap sifts.
+  // 32-byte POD key: this is what bucket nodes store and the ready heap
+  // sifts. `next` sits in what would otherwise be tail padding.
   struct Entry {
     TimePs time;
     uint64_t seq;
     uint64_t tag;   // non-zero: dispatcher-decoded port event (no callback)
     uint32_t slot;  // cb_pool_ index, kNoSlot for tagged entries
+    uint32_t next;  // nodes_ index of the next node in the list, kNil ends it
   };
+  static_assert(sizeof(Entry) == 32, "bucket node must stay 32 bytes");
 
   uint32_t AllocSlot(Callback cb) {
     if (!free_slots_.empty()) {
@@ -230,9 +248,21 @@ class CalendarQueue {
     }
     assert(e.time - cal_time_ < horizon_ && "caller must check Accepts()");
     const size_t idx = BucketIndex(e.time);
-    buckets_[idx].push_back(std::move(e));
+    e.next = heads_[idx];
+    heads_[idx] = AllocNode(e);
     SetOccupied(idx, true);
     ++in_bucket_count_;
+  }
+
+  uint32_t AllocNode(const Entry& e) {
+    if (free_node_ != kNil) {
+      const uint32_t node = free_node_;
+      free_node_ = nodes_[node].next;
+      nodes_[node] = e;
+      return node;
+    }
+    nodes_.push_back(e);
+    return static_cast<uint32_t>(nodes_.size() - 1);
   }
 
   // Max-comparator for std::push_heap/pop_heap (min-heap by (time, seq)).
@@ -248,9 +278,7 @@ class CalendarQueue {
     return static_cast<size_t>((static_cast<uint64_t>(t) >> width_bits_) & mask_);
   }
 
-  bool IsOccupied(size_t idx) const {
-    return (occupancy_[idx >> 6] >> (idx & 63)) & 1;
-  }
+  bool IsOccupied(size_t idx) const { return heads_[idx] != kNil; }
 
   void SetOccupied(size_t idx, bool occupied) {
     uint64_t& word = occupancy_[idx >> 6];
@@ -267,13 +295,24 @@ class CalendarQueue {
     std::push_heap(ready_.begin(), ready_.end(), After{});
   }
 
+  // Moves bucket `idx`'s list into the ready heap and its nodes onto the
+  // freelist: no steady-state allocation.
   void CollectBucket(size_t idx) {
-    std::vector<Entry>& bucket = buckets_[idx];
-    in_bucket_count_ -= bucket.size();
-    for (Entry& e : bucket) {
-      PushReady(std::move(e));
+    uint32_t node = heads_[idx];
+    heads_[idx] = kNil;
+    uint64_t collected = 0;
+    while (node != kNil) {
+      Entry& e = nodes_[node];
+      const uint32_t next = e.next;
+      PushReady(e);
+      e.next = free_node_;
+      free_node_ = node;
+      node = next;
+      ++collected;
     }
-    bucket.clear();  // keeps capacity: no steady-state allocation
+    in_bucket_count_ -= collected;
+    entries_collected_ += collected;
+    ++buckets_collected_;
     SetOccupied(idx, false);
   }
 
@@ -310,7 +349,11 @@ class CalendarQueue {
   TimePs horizon_ = 0;           // bucket_count * bucket_width
   TimePs cal_time_ = 0;          // start of the cursor's bucket window
   size_t in_bucket_count_ = 0;   // entries currently in buckets
-  std::vector<std::vector<Entry>> buckets_;
+  uint64_t buckets_collected_ = 0;
+  uint64_t entries_collected_ = 0;
+  std::vector<uint32_t> heads_;      // per bucket: first node, kNil if empty
+  std::vector<Entry> nodes_;         // node pool shared by every bucket
+  uint32_t free_node_ = kNil;        // freelist head, threaded through `next`
   std::vector<uint64_t> occupancy_;  // one bit per bucket, for slot skipping
   std::vector<Entry> ready_;         // min-heap by (time, seq)
   std::vector<Callback> cb_pool_;    // callback side pool, indexed by Entry::slot

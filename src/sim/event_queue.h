@@ -13,10 +13,10 @@
 //    high-churn cancellable timers (per-QP RTO re-arms, DCQCN TI/TD/alpha
 //    ticks, NIC scheduler wake-ups). Arm and Cancel are O(1) and a
 //    cancelled timer leaves no garbage event behind.
-//  * ScheduleLineRate() — a calendar queue tuned to the port serialization
-//    quantum for the per-packet serialization/delivery chain (two events per
-//    packet, the hot path at fig1/fig5 scale). Insert and pop are O(1);
-//    entries beyond the calendar horizon overflow to the heap.
+//  * ScheduleLineRate() — a calendar queue tuned to the fabric's in-flight
+//    event density for the per-packet serialization/delivery chain (two
+//    events per packet, the hot path at fig1/fig5 scale). Insert and pop
+//    are O(1); entries beyond the calendar horizon overflow to the heap.
 // Pop() merges all tiers by (time, sequence), so the observable firing
 // order is exactly what a single global heap would produce.
 
@@ -117,26 +117,12 @@ class EventQueue {
     return PopBest(time_out);
   }
 
-  // Fused NextTime()+Pop(): pops the earliest event only if it fires at or
-  // before `deadline`, so the run loop pays for one tier sync per event
-  // instead of two. Returns false (and leaves `*cb` untouched) if the queue
-  // is empty or the earliest event fires after `deadline`.
-  bool PopIfNotAfter(TimePs deadline, TimePs* time_out, Callback* cb) {
-    if (empty()) {
-      return false;
-    }
-    Sync();
-    const Tier tier = BestTier();
-    if (TierTime(tier) > deadline) {
-      return false;
-    }
-    *cb = PopTier(tier, time_out);
-    return true;
-  }
-
-  // The run loop's pop: PopIfNotAfter, except that a tagged calendar entry
-  // comes out as its non-zero tag in `*tag` (leaving `*cb` untouched) for
-  // the Simulator's dispatcher to decode. Any other event comes out as its
+  // The run loop's pop, fused with NextTime() so each event pays one tier
+  // sync: pops the earliest event only if it fires at or before `deadline`,
+  // and returns false (leaving `*cb` and `*tag` untouched) if the queue is
+  // empty or the earliest event fires later. A tagged calendar entry comes
+  // out as its non-zero tag in `*tag` (leaving `*cb` untouched) for the
+  // Simulator's dispatcher to decode; any other event comes out as its
   // callback in `*cb`, with `*tag` set to 0.
   bool PopEvent(TimePs deadline, TimePs* time_out, Callback* cb, uint64_t* tag) {
     if (empty()) {

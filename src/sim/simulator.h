@@ -7,8 +7,8 @@
 // Three scheduling tiers (see event_queue.h): plain Schedule()/ScheduleAt()
 // events go to the binary heap; cancellable timers (Timer, PeriodicTimer,
 // ScheduleTimer) ride the hierarchical timer wheel; line-rate one-shots
-// (ScheduleSerialization) ride a calendar queue sized to the port
-// serialization quantum. All tiers draw sequence numbers from the same
+// (ScheduleSerialization) ride a calendar queue sized to the fabric's
+// in-flight event density. All tiers draw sequence numbers from the same
 // counter, so the firing order — and therefore every fixed-seed trace — is
 // identical to a single global heap.
 
@@ -92,8 +92,8 @@ class Simulator {
     line_rate_dispatcher_ = dispatcher;
   }
 
-  // Sizes the calendar tier to the fabric's serialization quantum; called by
-  // Network::AutoSizeScheduler at build time. See EventQueue.
+  // Sizes the calendar tier; called by Network::AutoSizeScheduler at build
+  // time. See EventQueue.
   bool ConfigureCalendar(int width_bits, int bucket_count) {
     return queue_.ConfigureCalendar(width_bits, bucket_count);
   }

@@ -16,6 +16,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/experiment.h"
+#include "src/net/network.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/inline_callback.h"
 #include "src/sim/random.h"
@@ -539,36 +541,225 @@ TEST(CalendarStressTest, ThreeTierMixMatchesReference) {
   }
 }
 
-// --- PopIfNotAfter (fused NextTime + Pop) ------------------------------------
+// Differential stress at the density-sized geometry: 32 ps buckets, 2^16 of
+// them (a 2.1 us horizon), against the sorted-reference model. Narrow
+// buckets put several entries in one bucket (same-time ties, sub-width
+// gaps), the cursor wraps the bucket array many times, and far deadlines
+// overflow to the heap. Tagged and callback entries mix and pop through
+// PopEvent, the run loop's pop. Each seed runs three phases on one queue:
+// a phase cut short by Clear() with entries still bucketed, a re-Configure()
+// to a different geometry, and a final phase drained to empty — so the node
+// pool and its freelist are reused across both resets.
+TEST(CalendarStressTest, NarrowBucketsMatchReferenceAcrossClearAndReconfigure) {
+  constexpr int kWidthBits = 5;
+  constexpr int kBuckets = 1 << 16;
+  constexpr TimePs kHorizon = TimePs{kBuckets} << kWidthBits;
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    Rng rng(seed);
+    EventQueue q;
+    ASSERT_TRUE(q.ConfigureCalendar(kWidthBits, kBuckets));
+    TimePs now = 0;
+    uint64_t next_seq = 0;
 
-TEST(PopIfNotAfterTest, RespectsDeadlineAcrossTiers) {
+    auto random_delay = [&rng, &q]() -> TimePs {
+      const TimePs horizon = q.calendar().horizon();
+      switch (rng.Below(8)) {
+        case 0:
+          return 0;  // tie on time with the event being fired
+        case 1:
+        case 2:
+          return static_cast<TimePs>(rng.Below(64));  // same or next bucket
+        case 3:
+        case 4:
+          return static_cast<TimePs>(rng.Below(horizon / 8));
+        case 5:
+          return static_cast<TimePs>(rng.Below(horizon));  // wraps the array
+        case 6:
+          return horizon + static_cast<TimePs>(rng.Below(horizon));  // overflow
+        default:
+          return static_cast<TimePs>(rng.Below(4'000));
+      }
+    };
+
+    for (int phase = 0; phase < 3; ++phase) {
+      if (phase == 1) {
+        q.Clear();  // drops the pending entries and resets the node pool
+      } else if (phase == 2) {
+        ASSERT_TRUE(q.ConfigureCalendar(kWidthBits + 1, kBuckets * 2));
+      }
+      std::vector<RefEntry> ref;
+      std::vector<int> fired;
+      const uint64_t calendar_before = q.calendar_scheduled();
+      const uint64_t heap_before = q.heap_scheduled();
+      auto schedule = [&](TimePs at) {
+        const int id = static_cast<int>(ref.size());
+        ref.push_back(RefEntry{at, next_seq++, id, false, false});
+        if (rng.Below(2) == 0) {
+          // Tag id + 1 keeps tags non-zero; an overflowing tagged entry
+          // goes to the heap wrapped in a callback, as in the Simulator.
+          if (!q.ScheduleLineRateTagged(at, static_cast<uint64_t>(id) + 1)) {
+            q.ScheduleAt(at, [&fired, id] { fired.push_back(id); });
+          }
+        } else {
+          q.ScheduleLineRate(at, [&fired, id] { fired.push_back(id); });
+        }
+      };
+      auto pop_one = [&]() {
+        TimePs t = 0;
+        EventQueue::Callback cb;
+        uint64_t tag = 0;
+        ASSERT_TRUE(q.PopEvent(kTimeInfinity, &t, &cb, &tag));
+        ASSERT_GE(t, now);
+        now = t;
+        if (tag != 0) {
+          fired.push_back(static_cast<int>(tag - 1));
+        } else {
+          cb();
+        }
+      };
+
+      for (int i = 0; i < 64; ++i) {
+        schedule(now + static_cast<TimePs>(rng.Below(kHorizon / 2)));
+      }
+      for (int op = 0; op < 30'000; ++op) {
+        if (rng.Below(100) < 52 || q.empty()) {
+          schedule(now + random_delay());
+        } else {
+          pop_one();
+        }
+      }
+      if (phase == 0) {
+        ASSERT_GT(q.calendar_pending(), 0u) << "Clear() must drop bucketed entries";
+      } else {
+        while (!q.empty()) {
+          pop_one();
+        }
+      }
+
+      EXPECT_GT(q.calendar_scheduled(), calendar_before) << "seed=" << seed;
+      EXPECT_GT(q.heap_scheduled(), heap_before) << "seed=" << seed;  // overflow
+      // Cut short or drained, the fired sequence is the reference's sorted
+      // prefix: nothing scheduled later can sort before an event already
+      // fired, since every deadline is at or after the clock.
+      std::sort(ref.begin(), ref.end(), [](const RefEntry& a, const RefEntry& b) {
+        return a.time < b.time || (a.time == b.time && a.seq < b.seq);
+      });
+      ASSERT_LE(fired.size(), ref.size());
+      for (size_t i = 0; i < fired.size(); ++i) {
+        ASSERT_EQ(fired[i], ref[i].id) << "seed=" << seed << " phase=" << phase << " i=" << i;
+      }
+      if (phase > 0) {
+        EXPECT_EQ(fired.size(), ref.size()) << "seed=" << seed << " phase=" << phase;
+      }
+    }
+    // The clock spanned many horizons: the cursor wrapped the array.
+    EXPECT_GT(now, 20 * kHorizon) << "seed=" << seed;
+    // Some buckets held several entries, so in-bucket order was exercised.
+    const CalendarQueue& cal = q.calendar();
+    EXPECT_GT(cal.buckets_collected(), 0u);
+    EXPECT_GT(cal.entries_collected(), cal.buckets_collected());
+  }
+}
+
+// --- Calendar geometry from the fabric (Network::AutoSizeScheduler) --------
+
+// The Fig. 5 leaf-spine (16x16, 256 hosts at 400 G) and the k=16 fat-tree
+// (1024 hosts at 400 G): the sized calendar must keep a power-of-two bucket
+// no wider than the MTU quantum, a horizon covering twice a serialization
+// plus the longest propagation (and no shorter than the quantum-sized rule,
+// so tier routing is unchanged), and at most two in-flight entries per
+// bucket.
+TEST(CalendarGeometryTest, AutoSizeMatchesInFlightDensity) {
+  ExperimentConfig leaf_spine;  // the defaults are the Fig. 5 fabric
+  ExperimentConfig fat_tree;
+  fat_tree.fabric = FabricKind::kFatTree;
+  fat_tree.fat_tree_k = 16;
+  fat_tree.link_rate = Rate::Gbps(400);
+  for (const ExperimentConfig& config : {leaf_spine, fat_tree}) {
+    Experiment exp(config);
+    const CalendarQueue& cal = exp.sim().queue().calendar();
+    const TimePs quantum = config.link_rate.SerializationTime(config.mtu_bytes);
+    TimePs max_propagation = 0;
+    uint64_t population = 0;
+    for (const DuplexLink& link : exp.network().links()) {
+      for (const LinkEnd& end : {link.a, link.b}) {
+        const Port* port = end.node->port(end.port);
+        const TimePs serialization = port->rate().SerializationTime(config.mtu_bytes);
+        max_propagation = std::max(max_propagation, port->propagation_delay());
+        population += 1 + static_cast<uint64_t>((port->propagation_delay() + serialization - 1) /
+                                                serialization);
+      }
+    }
+    // The quantum-sized rule: slots of the largest power of two <= quantum
+    // (at least 1 ns), 64..4096 of them, covering 2 (quantum + propagation)
+    // plus 16 slots.
+    TimePs slot = 1024;
+    while (slot * 2 <= quantum) {
+      slot *= 2;
+    }
+    TimePs quantum_horizon = 64 * slot;
+    while (quantum_horizon < 2 * (quantum + max_propagation) + 16 * slot &&
+           quantum_horizon < 4096 * slot) {
+      quantum_horizon *= 2;
+    }
+
+    const TimePs width = cal.bucket_width();
+    SCOPED_TRACE(testing::Message() << "fabric=" << static_cast<int>(config.fabric)
+                                    << " width=" << width << " buckets=" << cal.bucket_count()
+                                    << " population=" << population);
+    ASSERT_TRUE(cal.configured());
+    EXPECT_EQ(width & (width - 1), 0);
+    EXPECT_LE(width, quantum);
+    EXPECT_GE(cal.horizon(), 2 * (quantum + max_propagation));
+    EXPECT_GE(cal.horizon(), quantum_horizon);
+    // With every port busy, at most two in-flight entries per bucket. (The
+    // 32 ps floor on the width binds on the 400 G fat-tree.)
+    EXPECT_LE(population, 2 * static_cast<uint64_t>(cal.bucket_count()));
+    EXPECT_GE(cal.bucket_count(), 1 << 16);  // density, not the quantum, sets the width
+  }
+}
+
+// --- PopEvent (the run loop's fused NextTime + Pop) -------------------------
+
+TEST(PopEventTest, RespectsDeadlineAcrossTiers) {
   EventQueue q;
   ASSERT_TRUE(q.ConfigureCalendar(10, 8));
   std::vector<int> order;
   q.ScheduleLineRate(100, [&order] { order.push_back(0); });
   q.ScheduleTimer(200, [&order] { order.push_back(1); });
   q.ScheduleAt(300, [&order] { order.push_back(2); });
+  ASSERT_TRUE(q.ScheduleLineRateTagged(400, /*tag=*/0xbeef));
 
   TimePs t = 0;
   EventQueue::Callback cb;
-  // Deadline below everything: nothing pops, queue intact.
-  EXPECT_FALSE(q.PopIfNotAfter(99, &t, &cb));
-  EXPECT_EQ(q.size(), 3u);
+  uint64_t tag = 7;
+  // Deadline below everything: nothing pops, queue and outputs intact.
+  EXPECT_FALSE(q.PopEvent(99, &t, &cb, &tag));
+  EXPECT_EQ(q.size(), 4u);
+  EXPECT_EQ(tag, 7u);
   // Deadline admits the first two, in order, then refuses the third.
-  ASSERT_TRUE(q.PopIfNotAfter(250, &t, &cb));
+  ASSERT_TRUE(q.PopEvent(250, &t, &cb, &tag));
+  EXPECT_EQ(tag, 0u);
   cb();
   EXPECT_EQ(t, 100);
-  ASSERT_TRUE(q.PopIfNotAfter(250, &t, &cb));
+  ASSERT_TRUE(q.PopEvent(250, &t, &cb, &tag));
+  EXPECT_EQ(tag, 0u);
   cb();
   EXPECT_EQ(t, 200);
-  EXPECT_FALSE(q.PopIfNotAfter(250, &t, &cb));
-  EXPECT_EQ(q.size(), 1u);
+  EXPECT_FALSE(q.PopEvent(250, &t, &cb, &tag));
+  EXPECT_EQ(q.size(), 2u);
   // Exact-time deadline is inclusive.
-  ASSERT_TRUE(q.PopIfNotAfter(300, &t, &cb));
+  ASSERT_TRUE(q.PopEvent(300, &t, &cb, &tag));
+  EXPECT_EQ(tag, 0u);
   cb();
   EXPECT_EQ(t, 300);
+  // A tagged calendar entry comes out as its tag, never as a callback.
+  EXPECT_FALSE(q.PopEvent(399, &t, &cb, &tag));
+  ASSERT_TRUE(q.PopEvent(400, &t, &cb, &tag));
+  EXPECT_EQ(tag, 0xbeefu);
+  EXPECT_EQ(t, 400);
   EXPECT_TRUE(q.empty());
-  EXPECT_FALSE(q.PopIfNotAfter(1'000'000, &t, &cb));  // empty queue
+  EXPECT_FALSE(q.PopEvent(1'000'000, &t, &cb, &tag));  // empty queue
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
