@@ -61,7 +61,7 @@ struct ThemisDConfig {
   // Register-array realism (Section 4): capacity/policy of the per-ToR flow
   // table. Defaults (capacity 0, kNone) keep the legacy unbounded
   // behaviour. entry_bytes of 0 derives the §4 width from queue_capacity.
-  FlowTableConfig flow_table;
+  FlowTableConfig flow_table{};
   // Per-flow telemetry columns are registered lazily as flows appear; at
   // million-flow scale that is O(flows) registry growth forever. Beyond
   // this many flows, verdict tallies aggregate into one shared overflow

@@ -1,5 +1,6 @@
 #include "src/topo/switch.h"
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <cstdlib>
@@ -26,17 +27,16 @@ void Switch::ReceivePacket(const Packet& pkt, int in_port) {
 }
 
 void Switch::Forward(const Packet& pkt) {
-  const auto dst = static_cast<size_t>(pkt.dst_host);
-  if (dst >= routes_.size() || routes_[dst].empty()) {
+  const std::span<Port* const> all = RouteCandidates(pkt.dst_host);
+  if (all.empty()) {
     ++stats_.no_route_drops;
     return;
   }
-  const std::vector<Port*>& all = routes_[dst];
 
   // Fast path: no failed candidates (the common case). SetRoute caps a
   // route at kMaxEqualCostPaths, so the live subset always fits.
   std::array<Port*, kMaxEqualCostPaths> live_storage;
-  std::span<Port* const> candidates(all.data(), all.size());
+  std::span<Port* const> candidates = all;
   size_t live_count = 0;
   for (Port* port : all) {
     if (!port->failed()) {
@@ -119,39 +119,40 @@ void Switch::SendPfcFrame(int in_port, bool pause) {
   sim()->Schedule(latency, [upstream_port, pause] { upstream_port->SetPaused(pause); });
 }
 
-void Switch::SetRoute(int dst_node, std::vector<int> port_indices) {
+void Switch::SetRoute(int dst_node, std::span<const int> port_indices) {
   if (port_indices.size() > kMaxEqualCostPaths) {
     std::fprintf(stderr, "switch %s: route to node %d has %zu equal-cost ports, more than %zu\n",
                  name().c_str(), dst_node, port_indices.size(), kMaxEqualCostPaths);
     std::abort();
   }
-  const auto dst = static_cast<size_t>(dst_node);
-  if (routes_.size() <= dst) {
-    routes_.resize(dst + 1);
-    last_hop_.resize(dst + 1, false);
-  }
-  std::vector<Port*> ports;
-  ports.reserve(port_indices.size());
+  std::array<Port*, kMaxEqualCostPaths> storage{};
   bool all_host_facing = !port_indices.empty();
-  for (int index : port_indices) {
-    ports.push_back(port(index));
-    all_host_facing = all_host_facing && IsHostPort(index);
+  for (size_t i = 0; i < port_indices.size(); ++i) {
+    storage[i] = port(port_indices[i]);
+    all_host_facing = all_host_facing && IsHostPort(port_indices[i]);
   }
-  routes_[dst] = std::move(ports);
-  last_hop_[dst] = all_host_facing;
-}
+  const std::span<Port* const> ports(storage.data(), port_indices.size());
 
-std::span<Port* const> Switch::RouteCandidates(int dst_node) const {
-  const auto dst = static_cast<size_t>(dst_node);
-  if (dst >= routes_.size()) {
-    return {};
+  // Linear scan: at most ports+1 groups in a Clos fabric (see switch.h). The
+  // last-hop flag is part of the match so a set interned before MarkHostPort
+  // is not reused with a stale flag.
+  uint32_t group = 0;
+  const auto groups = static_cast<uint32_t>(group_last_hop_.size());
+  while (group < groups && (group_last_hop_[group] != all_host_facing ||
+                            !std::ranges::equal(GroupPorts(group), ports))) {
+    ++group;
   }
-  return std::span<Port* const>(routes_[dst].data(), routes_[dst].size());
-}
+  if (group == groups) {
+    group_ports_.insert(group_ports_.end(), ports.begin(), ports.end());
+    group_offset_.push_back(static_cast<uint32_t>(group_ports_.size()));
+    group_last_hop_.push_back(all_host_facing);
+  }
 
-bool Switch::IsLastHop(int dst_node) const {
   const auto dst = static_cast<size_t>(dst_node);
-  return dst < last_hop_.size() && last_hop_[dst];
+  if (route_group_.size() <= dst) {
+    route_group_.resize(dst + 1, 0);
+  }
+  route_group_[dst] = group;
 }
 
 void Switch::MarkHostPort(int port_index) {

@@ -4,12 +4,16 @@
 // and Themis-D attach, exactly like match-action stages on a programmable
 // ToR — then (2) looking up the equal-cost candidate egress set for the
 // destination and (3) asking its load-balancing policy to pick one. Control
-// packets (ACK/NACK/CNP) always follow plain ECMP.
+// packets (ACK/NACK/CNP) always follow plain ECMP. The candidate sets live in
+// a per-switch route-group table: each distinct set is stored once and
+// destinations index it, so routing state grows with the distinct sets, not
+// with switches x hosts.
 
 #ifndef THEMIS_SRC_TOPO_SWITCH_H_
 #define THEMIS_SRC_TOPO_SWITCH_H_
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -94,18 +98,33 @@ class Switch : public Node {
   }
 
   // --- Routing table -------------------------------------------------------
+  // Destinations do not own their candidate sets: each distinct, ordered
+  // equal-cost port set is stored once per switch (a "route group") and every
+  // destination holds the index of its group. Group 0 is the empty set and
+  // means "no route". Order is part of a group's identity because the LB's
+  // returned index selects candidates[choice], so {a,b} and {b,a} are two
+  // groups. Assumption: in a Clos fabric a switch has at most ports+1
+  // distinct sets (one per down port plus the uplink set), so interning
+  // linear-scans the groups.
+
   // Most equal-cost candidates one route may hold: Forward filters failed
   // candidates into a fixed array of this size.
   static constexpr size_t kMaxEqualCostPaths = 64;
 
-  // Equal-cost egress candidates per destination node id. Aborts with a
-  // message naming the switch if `port_indices` holds more than
-  // kMaxEqualCostPaths ports.
-  void SetRoute(int dst_node, std::vector<int> port_indices);
-  std::span<Port* const> RouteCandidates(int dst_node) const;
+  // Points `dst_node` at the group holding exactly `port_indices`, in order,
+  // appending the group if it is new. Other destinations are untouched.
+  // Aborts with a message naming the switch if `port_indices` holds more
+  // than kMaxEqualCostPaths ports.
+  void SetRoute(int dst_node, std::span<const int> port_indices);
+  // Equal-cost egress candidates for `dst_node`: a view into the group
+  // table, shared by every destination with the same set. Valid until the
+  // next SetRoute.
+  std::span<Port* const> RouteCandidates(int dst_node) const {
+    return GroupPorts(RouteGroup(dst_node));
+  }
   // True when every candidate for `dst_node` is a host-facing port, i.e. this
   // switch is the destination's ToR and this is the last switch hop.
-  bool IsLastHop(int dst_node) const;
+  bool IsLastHop(int dst_node) const { return group_last_hop_[RouteGroup(dst_node)]; }
 
   // --- Policy & identity ---------------------------------------------------
   void set_data_lb(std::unique_ptr<LoadBalancer> lb) { data_lb_ = std::move(lb); }
@@ -134,9 +153,20 @@ class Switch : public Node {
   void ReleaseIngress(int in_port, int64_t bytes);
   void SendPfcFrame(int in_port, bool pause);
 
-  std::vector<std::vector<Port*>> routes_;  // dst node id -> candidate egress ports
-  std::vector<bool> last_hop_;              // dst node id -> all-candidates-host-facing
-  std::vector<bool> host_port_;             // port index -> faces a host
+  uint32_t RouteGroup(int dst_node) const {
+    const auto dst = static_cast<size_t>(dst_node);
+    return dst < route_group_.size() ? route_group_[dst] : 0;
+  }
+  std::span<Port* const> GroupPorts(uint32_t group) const {
+    return {group_ports_.data() + group_offset_[group],
+            group_offset_[group + 1] - group_offset_[group]};
+  }
+
+  std::vector<Port*> group_ports_;            // every distinct set, concatenated
+  std::vector<uint32_t> group_offset_{0, 0};  // group g = [offset[g], offset[g+1])
+  std::vector<bool> group_last_hop_{false};   // group -> all candidates host-facing
+  std::vector<uint32_t> route_group_;         // dst node id -> group (0: no route)
+  std::vector<bool> host_port_;               // port index -> faces a host
   std::unique_ptr<LoadBalancer> data_lb_ = std::make_unique<EcmpLb>();
   EcmpLb control_lb_;
   std::vector<SwitchHook*> hooks_;

@@ -26,6 +26,7 @@ void BuildEqualCostRoutes(Topology& topo) {
   }
 
   std::vector<int> dist(static_cast<size_t>(n));
+  std::vector<int> ports;  // scratch: one switch's candidate set
   for (Node* host : topo.hosts) {
     // BFS from the destination host over the whole graph.
     std::fill(dist.begin(), dist.end(), kUnreached);
@@ -35,13 +36,12 @@ void BuildEqualCostRoutes(Topology& topo) {
     while (!frontier.empty()) {
       const int u = frontier.front();
       frontier.pop();
+      // Hosts do not transit traffic: only the destination host itself may
+      // expand (distance 0).
+      if (net.node(u)->kind() == NodeKind::kHost && dist[static_cast<size_t>(u)] != 0) {
+        continue;
+      }
       for (const Edge& e : adj[static_cast<size_t>(u)]) {
-        // Hosts do not transit traffic: only the destination host itself may
-        // expand (distance 0).
-        Node* un = net.node(u);
-        if (un->kind() == NodeKind::kHost && dist[static_cast<size_t>(u)] != 0) {
-          continue;
-        }
         if (dist[static_cast<size_t>(e.neighbor)] == kUnreached) {
           dist[static_cast<size_t>(e.neighbor)] = dist[static_cast<size_t>(u)] + 1;
           frontier.push(e.neighbor);
@@ -56,13 +56,13 @@ void BuildEqualCostRoutes(Topology& topo) {
       if (d == kUnreached) {
         continue;
       }
-      std::vector<int> ports;
+      ports.clear();
       for (const Edge& e : adj[static_cast<size_t>(sw->id())]) {
         if (dist[static_cast<size_t>(e.neighbor)] == d - 1) {
           ports.push_back(e.port);
         }
       }
-      sw->SetRoute(host->id(), std::move(ports));
+      sw->SetRoute(host->id(), ports);
     }
   }
 }

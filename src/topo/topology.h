@@ -3,7 +3,9 @@
 // Builders (leaf_spine.h, fat_tree.h) assemble nodes and links, then call
 // BuildEqualCostRoutes() which BFSes the graph from every host and installs,
 // at each switch, the set of egress ports lying on *some* shortest path to
-// that host — exactly the equal-cost sets ECMP fabrics use.
+// that host — exactly the equal-cost sets ECMP fabrics use. Each switch
+// interns those sets (Switch::SetRoute), so a k-ary fat-tree switch stores
+// k/2+1 or k sets however many hosts the fabric has.
 
 #ifndef THEMIS_SRC_TOPO_TOPOLOGY_H_
 #define THEMIS_SRC_TOPO_TOPOLOGY_H_
@@ -29,16 +31,6 @@ struct Topology {
   std::vector<Switch*> tors;       // host-facing (leaf) switches
   std::vector<Switch*> host_tor;   // per host ordinal: its ToR
   int equal_cost_paths = 1;        // N between cross-ToR host pairs
-
-  // Host ordinal for a node id, or -1.
-  int HostOrdinal(int node_id) const {
-    for (size_t i = 0; i < hosts.size(); ++i) {
-      if (hosts[i]->id() == node_id) {
-        return static_cast<int>(i);
-      }
-    }
-    return -1;
-  }
 
   // True when the two host ordinals sit under different ToRs.
   bool CrossRack(int host_a, int host_b) const {

@@ -403,7 +403,7 @@ TEST(ReceiverQpTest, PsnWraparoundHandled) {
 
 TEST(IrnTest, NackCarriesTriggerPsn) {
   RnicHarness h;
-  auto flow = h.MakeFlow(1, RnicHarness::Config(TransportKind::kIrn));
+  h.MakeFlow(1, RnicHarness::Config(TransportKind::kIrn));
   h.b->ReceivePacket(Data(1, h, 3), 0);  // 0,1,2 missing
   h.sim.Run();
   // The NACK reached a's sender QP (unknown-flow drops would count).

@@ -1,5 +1,6 @@
-// Tests for topology builders, equal-cost routing, and the Switch dataplane
-// (hooks, host-port marking, failure filtering).
+// Tests for topology builders, equal-cost routing, the per-switch route-group
+// table, and the Switch dataplane (hooks, host-port marking, failure
+// filtering).
 
 #include <gtest/gtest.h>
 
@@ -339,6 +340,120 @@ TEST(FatTreeTest, K8Scales) {
       MakeDataPacket(1, h.hosts[0]->id(), h.hosts[127]->id(), 0, 100, 0x42));
   h.sim.Run();
   EXPECT_EQ(h.hosts[127]->received.size(), 1u);
+}
+
+// --- Route groups -------------------------------------------------------------
+
+// Ports of `sw` whose peer is a switch, in port-index order: the uplink set
+// BuildEqualCostRoutes installs at a ToR for every host it does not face.
+std::vector<Port*> SwitchFacingPorts(Switch* sw) {
+  std::vector<Port*> ports;
+  for (int i = 0; i < sw->port_count(); ++i) {
+    if (sw->port(i)->peer()->kind() == NodeKind::kSwitch) {
+      ports.push_back(sw->port(i));
+    }
+  }
+  return ports;
+}
+
+// Two remote destinations of `tor` resolve to one stored set, holding the
+// uplinks in port order.
+void ExpectRemotesShareUplinkGroup(Switch* tor, const Node* remote_a, const Node* remote_b) {
+  const auto a = tor->RouteCandidates(remote_a->id());
+  const auto b = tor->RouteCandidates(remote_b->id());
+  const std::vector<Port*> uplinks = SwitchFacingPorts(tor);
+  EXPECT_EQ(a.data(), b.data()) << tor->name();
+  EXPECT_EQ(std::vector<Port*>(a.begin(), a.end()), uplinks) << tor->name();
+  EXPECT_EQ(std::vector<Port*>(b.begin(), b.end()), uplinks) << tor->name();
+}
+
+// IsLastHop holds at a switch exactly for the hosts it faces.
+void ExpectLastHopExactlyAtHostTor(const Topology& topo) {
+  for (Switch* sw : topo.switches) {
+    for (size_t h = 0; h < topo.hosts.size(); ++h) {
+      EXPECT_EQ(sw->IsLastHop(topo.hosts[h]->id()), topo.host_tor[h] == sw)
+          << sw->name() << " -> " << topo.hosts[h]->name();
+    }
+  }
+}
+
+TEST(RouteGroupTest, LeafSpineRemoteDestinationsShareOneGroup) {
+  LeafSpineHarness h(2, 4, 2);
+  ExpectRemotesShareUplinkGroup(h.topo.tors[0], h.topo.hosts[2], h.topo.hosts[3]);
+  ExpectRemotesShareUplinkGroup(h.topo.tors[1], h.topo.hosts[0], h.topo.hosts[1]);
+  ExpectLastHopExactlyAtHostTor(h.topo);
+}
+
+TEST(RouteGroupTest, FatTreeRemoteDestinationsShareOneGroup) {
+  FatTreeHarness h(4);
+  // Same pod, other edge (host 2) and other pod (host 15) take the same two
+  // aggregation uplinks from edge 0.
+  ExpectRemotesShareUplinkGroup(h.topo.tors[0], h.topo.hosts[2], h.topo.hosts[15]);
+  ExpectLastHopExactlyAtHostTor(h.topo);
+}
+
+TEST(RouteGroupTest, SetRouteKeepsCandidateOrder) {
+  Simulator sim;
+  Network net(&sim);
+  Switch* sw = net.MakeNode<Switch>("sw");
+  const int a = sw->AddPort();
+  const int b = sw->AddPort();
+  sw->SetRoute(0, std::vector<int>{a, b});
+  sw->SetRoute(1, std::vector<int>{b, a});
+  const auto ab = sw->RouteCandidates(0);
+  const auto ba = sw->RouteCandidates(1);
+  EXPECT_NE(ab.data(), ba.data());
+  ASSERT_EQ(ab.size(), 2u);
+  ASSERT_EQ(ba.size(), 2u);
+  EXPECT_EQ(ab[0], sw->port(a));
+  EXPECT_EQ(ab[1], sw->port(b));
+  EXPECT_EQ(ba[0], sw->port(b));
+  EXPECT_EQ(ba[1], sw->port(a));
+}
+
+TEST(RouteGroupTest, ResetRepointsOnlyThatDestination) {
+  Simulator sim;
+  Network net(&sim);
+  Switch* sw = net.MakeNode<Switch>("sw");
+  const int a = sw->AddPort();
+  const int b = sw->AddPort();
+  const int c = sw->AddPort();
+  sw->SetRoute(0, std::vector<int>{a, b});
+  sw->SetRoute(1, std::vector<int>{a, b});
+  EXPECT_EQ(sw->RouteCandidates(0).data(), sw->RouteCandidates(1).data());
+
+  sw->SetRoute(0, std::vector<int>{c});
+  const auto moved = sw->RouteCandidates(0);
+  const auto kept = sw->RouteCandidates(1);
+  ASSERT_EQ(moved.size(), 1u);
+  EXPECT_EQ(moved[0], sw->port(c));
+  ASSERT_EQ(kept.size(), 2u);
+  EXPECT_EQ(kept[0], sw->port(a));
+  EXPECT_EQ(kept[1], sw->port(b));
+
+  // An empty set is "no route"; unset destinations read the same.
+  sw->SetRoute(1, std::vector<int>{});
+  EXPECT_TRUE(sw->RouteCandidates(1).empty());
+  EXPECT_TRUE(sw->RouteCandidates(7).empty());
+  EXPECT_FALSE(sw->IsLastHop(7));
+  EXPECT_EQ(sw->RouteCandidates(0)[0], sw->port(c));
+}
+
+// The Clos bound the interning scan relies on, read on the 1024-host fabric:
+// edge and aggregation switches have k/2 down ports plus one uplink set,
+// core switches one down port per pod.
+TEST(RouteGroupTest, K16FatTreeDistinctGroupsPerTier) {
+  FatTreeHarness h(16);
+  ASSERT_EQ(h.topo.hosts.size(), 1024u);
+  ASSERT_EQ(h.topo.switches.size(), 320u);
+  for (Switch* sw : h.topo.switches) {
+    std::set<Port* const*> groups;
+    for (Node* host : h.topo.hosts) {
+      groups.insert(sw->RouteCandidates(host->id()).data());
+    }
+    const size_t want = sw->name().rfind("core", 0) == 0 ? 16u : 9u;
+    EXPECT_EQ(groups.size(), want) << sw->name();
+  }
 }
 
 }  // namespace
