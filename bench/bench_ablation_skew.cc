@@ -13,12 +13,12 @@
 // The 15-point grid runs in parallel on a SweepRunner pool.
 
 #include "bench/bench_common.h"
+#include "src/experiment_service/grids.h"
 
 namespace themis {
 namespace {
 
 using benchutil::CaseResult;
-using benchutil::MessageBytes;
 
 const std::vector<std::vector<int>> kRings = {{0, 4, 1, 5}, {2, 6, 3, 7}};
 
@@ -27,8 +27,7 @@ struct SkewCase {
   TimePs skew;
 };
 
-CaseResult RunCase(const SkewCase& c) {
-  const uint64_t bytes = MessageBytes(8);
+CaseResult RunCase(const SkewCase& c, uint64_t bytes) {
   CaseResult out;
   out.name = std::string("Skew/") + SchemeName(c.scheme) + "/" +
              std::to_string(c.skew / kNanosecond) + "ns";
@@ -76,9 +75,11 @@ int main() {
     }
   }
 
+  // Before the pool starts, so a malformed THEMIS_BENCH_MB exits only once.
+  const uint64_t bytes = SweepMessageBytes(8);
   SweepRunner runner;
   std::printf("ablation_skew: %zu cases on %d threads\n", cases.size(), runner.threads());
-  auto results = runner.Map(cases, [](const SkewCase& c) { return RunCase(c); });
+  auto results = runner.Map(cases, [bytes](const SkewCase& c) { return RunCase(c, bytes); });
   const int failures = benchutil::EmitCaseResults(results);
   benchutil::PrintSummary("Multi-path delay-variation sensitivity");
   return failures == 0 ? 0 : 1;

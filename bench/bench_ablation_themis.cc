@@ -13,12 +13,12 @@
 // SweepRunner pool and is printed in registration order.
 
 #include "bench/bench_common.h"
+#include "src/experiment_service/grids.h"
 
 namespace themis {
 namespace {
 
 using benchutil::CaseResult;
-using benchutil::MessageBytes;
 
 const std::vector<std::vector<int>> kRings = {{0, 4, 1, 5}, {2, 6, 3, 7}};
 
@@ -52,8 +52,7 @@ struct AblationCase {
   bool inject_loss = false;
 };
 
-CaseResult RunCase(const AblationCase& c) {
-  const uint64_t bytes = MessageBytes(8);
+CaseResult RunCase(const AblationCase& c, uint64_t bytes) {
   CaseResult out;
   out.name = c.name;
 
@@ -124,9 +123,11 @@ int main() {
     cases.push_back({"SprayMode/sport-rewrite", sport, /*inject_loss=*/false});
   }
 
+  // Before the pool starts, so a malformed THEMIS_BENCH_MB exits only once.
+  const uint64_t bytes = SweepMessageBytes(8);
   SweepRunner runner;
   std::printf("ablation_themis: %zu cases on %d threads\n", cases.size(), runner.threads());
-  auto results = runner.Map(cases, [](const AblationCase& c) { return RunCase(c); });
+  auto results = runner.Map(cases, [bytes](const AblationCase& c) { return RunCase(c, bytes); });
   const int failures = benchutil::EmitCaseResults(results);
   benchutil::PrintSummary("Themis design-choice ablations");
   return failures == 0 ? 0 : 1;

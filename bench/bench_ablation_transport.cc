@@ -11,12 +11,12 @@
 // Cases run in parallel on a SweepRunner pool; output order is fixed.
 
 #include "bench/bench_common.h"
+#include "src/experiment_service/grids.h"
 
 namespace themis {
 namespace {
 
 using benchutil::CaseResult;
-using benchutil::MessageBytes;
 
 const std::vector<std::vector<int>> kRings = {{0, 4, 1, 5}, {2, 6, 3, 7}};
 
@@ -41,8 +41,7 @@ struct TransportCase {
   const char* label;
 };
 
-CaseResult RunCase(const TransportCase& c) {
-  const uint64_t bytes = MessageBytes(8);
+CaseResult RunCase(const TransportCase& c, uint64_t bytes) {
   CaseResult out;
   out.name = std::string("Transport/") + c.label;
 
@@ -82,9 +81,11 @@ int main() {
       {TransportKind::kNicSr, Scheme::kSprayReorder, "nic-sr + ToR reordering"},
   };
 
+  // Before the pool starts, so a malformed THEMIS_BENCH_MB exits only once.
+  const uint64_t bytes = SweepMessageBytes(8);
   SweepRunner runner;
   std::printf("ablation_transport: %zu cases on %d threads\n", cases.size(), runner.threads());
-  auto results = runner.Map(cases, [](const TransportCase& c) { return RunCase(c); });
+  auto results = runner.Map(cases, [bytes](const TransportCase& c) { return RunCase(c, bytes); });
   const int failures = benchutil::EmitCaseResults(results);
   benchutil::PrintSummary("Transport-generation ablation under packet spraying");
   return failures == 0 ? 0 : 1;

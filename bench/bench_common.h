@@ -1,6 +1,6 @@
 // Shared utilities for the paper-reproduction benchmarks.
 //
-// Scale control:
+// Scale control (parsed by SweepMessageBytes, src/experiment_service/grids.h):
 //   THEMIS_FULL_SCALE=1   use the paper's 300 MB collectives (slow!)
 //   THEMIS_BENCH_MB=<n>   override the per-collective message size in MiB
 // Default sizes are scaled down so the whole suite runs in minutes; the
@@ -16,7 +16,6 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -26,16 +25,6 @@
 
 namespace themis {
 namespace benchutil {
-
-inline uint64_t MessageBytes(uint64_t default_mib) {
-  if (const char* full = std::getenv("THEMIS_FULL_SCALE"); full != nullptr && *full == '1') {
-    return 300ull << 20;
-  }
-  if (const char* mib = std::getenv("THEMIS_BENCH_MB"); mib != nullptr) {
-    return std::strtoull(mib, nullptr, 10) << 20;
-  }
-  return default_mib << 20;
-}
 
 // Row of the paper-style summary table printed after all benchmarks ran.
 struct ResultRow {

@@ -20,12 +20,12 @@
 // EXPERIMENTS.md for the sensitivity discussion.
 
 #include "bench/bench_common.h"
+#include "src/experiment_service/grids.h"
 #include "src/stats/samplers.h"
 
 namespace themis {
 namespace {
 
-using benchutil::MessageBytes;
 using benchutil::ResultRow;
 using benchutil::Rows;
 
@@ -65,7 +65,7 @@ double AverageFlowGoodputGbps(Experiment& exp) {
 
 // Fig. 1b + 1c: run NIC-SR under spraying with time-series sampling.
 void BM_Fig1bc_NicSrUnderSpraying(benchmark::State& state) {
-  const uint64_t bytes = MessageBytes(8);
+  const uint64_t bytes = SweepMessageBytes(8);
   for (auto _ : state) {
     Experiment exp(MotivationConfig(TransportKind::kNicSr));
 
@@ -116,7 +116,7 @@ void BM_Fig1bc_NicSrUnderSpraying(benchmark::State& state) {
 
 // Fig. 1d: average flow throughput, NIC-SR vs ideal transport.
 void BM_Fig1d_Throughput(benchmark::State& state, TransportKind transport) {
-  const uint64_t bytes = MessageBytes(8);
+  const uint64_t bytes = SweepMessageBytes(8);
   for (auto _ : state) {
     Experiment exp(MotivationConfig(transport));
     auto result = exp.RunCollective(CollectiveKind::kNeighborRing, kRings, bytes, 60 * kSecond);

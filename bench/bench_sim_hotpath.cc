@@ -100,7 +100,7 @@ double BestChurnRate(int num_flows, uint64_t budget, int reps) {
 // artifact.
 struct TierBreakdown {
   uint64_t heap = 0;
-  uint64_t wheel = 0;
+  uint64_t wheel = 0;  // cancellable timer arms; "wheel" is the pinned CSV row
   uint64_t calendar = 0;
   uint64_t calendar_buckets_collected = 0;
   uint64_t calendar_entries_collected = 0;

@@ -2,8 +2,9 @@
 // line, print a human summary, and optionally append a CSV row. This is the
 // "swiss-army knife" a downstream user drives parameter studies with.
 //
-//   $ ./build/examples/themis_cli --scheme=themis --collective=alltoall \
-//         --size-mb=16 --tors=8 --spines=8 --hosts-per-tor=8 \
+// For example (one command line, wrapped here):
+//   $ ./build/examples/themis_cli --scheme=themis --collective=alltoall
+//         --size-mb=16 --tors=8 --spines=8 --hosts-per-tor=8
 //         --rate-gbps=400 --ti-us=55 --td-us=50 --groups=8 --csv=out.csv
 //
 // Run with --help for the full flag list.

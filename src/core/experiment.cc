@@ -460,13 +460,11 @@ void Experiment::AttachTelemetry(Telemetry* telemetry) {
   CounterRegistry* registry = &telemetry->counters();
 
   // Per-tier event-queue occupancy: where pending events currently live
-  // (heap one-shots / wheel timers / calendar line-rate events). Shows up as
+  // (heap one-shots and timers / calendar line-rate events). Shows up as
   // sim.*_pending columns in --counters output.
   const Simulator* sim = &sim_;
   registry->RegisterGauge("sim.heap_pending",
                           [sim] { return static_cast<double>(sim->queue().heap_pending()); });
-  registry->RegisterGauge("sim.wheel_pending",
-                          [sim] { return static_cast<double>(sim->queue().wheel_pending()); });
   registry->RegisterGauge("sim.calendar_pending", [sim] {
     return static_cast<double>(sim->queue().calendar_pending());
   });

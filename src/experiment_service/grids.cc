@@ -1,5 +1,6 @@
 #include "src/experiment_service/grids.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -322,7 +323,18 @@ uint64_t SweepMessageBytes(uint64_t default_mib) {
     return 300ull << 20;
   }
   if (const char* mib = std::getenv("THEMIS_BENCH_MB"); mib != nullptr) {
-    return std::strtoull(mib, nullptr, 10) << 20;
+    // Digits only: strtoull alone would take "abc" as 0, "8x" as 8, and
+    // "-1" as 2^64 - 1, and `<< 20` would wrap anything above 2^44.
+    const bool digits = *mib != '\0' && std::strspn(mib, "0123456789") == std::strlen(mib);
+    // On overflow strtoull returns ULLONG_MAX, which fails the bound below.
+    const unsigned long long value = digits ? std::strtoull(mib, nullptr, 10) : 0;
+    if (value == 0 || value > (UINT64_MAX >> 20)) {
+      std::fprintf(stderr,
+                   "THEMIS_BENCH_MB='%s': expected a positive whole number of MiB below 2^44\n",
+                   mib);
+      std::exit(1);
+    }
+    return value << 20;
   }
   return default_mib << 20;
 }

@@ -132,8 +132,10 @@ GridDef Fig5GridDef(CollectiveKind kind, uint64_t bytes, const std::string& grid
 GridDef MakeBuiltinGrid(const std::string& name, std::string* error);
 std::vector<std::string> BuiltinGridNames();
 
-// Collective message sizing shared with bench_common.h: THEMIS_FULL_SCALE=1
+// Collective message sizing for every collective bench: THEMIS_FULL_SCALE=1
 // -> the paper's 300 MB, THEMIS_BENCH_MB=<n> -> n MiB, else `default_mib`.
+// A THEMIS_BENCH_MB that is not a positive whole number below 2^44 (junk,
+// trailing characters, 0, or overflow) is reported on stderr and exits 1.
 uint64_t SweepMessageBytes(uint64_t default_mib);
 
 // Env-driven shard mode for the bench binaries and CI:

@@ -1,20 +1,19 @@
 // A calendar queue for line-rate one-shot events.
 //
-// After the timer-wheel refactor the binary heap holds almost exclusively
-// port serialization/delivery events: two per packet, both scheduled at most
-// one serialization quantum plus one propagation delay ahead of now. Every
-// busy port contributes such a chain, so the fabric as a whole fires them at
-// a spacing of roughly (quantum + propagation) / in-flight population. A
-// calendar queue whose bucket width is tuned to that fabric-wide spacing
+// Port serialization/delivery events dominate the event stream: two per
+// packet, both scheduled at most one serialization quantum plus one
+// propagation delay ahead of now. Every busy port contributes such a chain,
+// so the fabric as a whole fires them at a spacing of roughly
+// (quantum + propagation) / in-flight population. A calendar queue whose
+// bucket width is tuned to that fabric-wide spacing
 // (Network::AutoSizeScheduler) makes this hot path O(1) per event: insert
 // links a node into the target bucket, and the cursor collects at most one
 // bucket of a few entries per pop.
 //
-// Determinism contract (same as the timer wheel): every entry carries the
-// sequence number handed out by the owning EventQueue, buckets drain through
-// a small ready heap ordered by (time, seq), and the queue merges that ready
-// heap with the other tiers. The observable firing order is bit-identical to
-// a single global heap.
+// Determinism contract: every entry carries the sequence number handed out
+// by the owning EventQueue, buckets drain through a small ready heap ordered
+// by (time, seq), and the queue merges that ready heap with its binary heap.
+// The observable firing order is bit-identical to a single global heap.
 //
 // Entries are non-cancellable (serialization/delivery chains never cancel),
 // which is what keeps the tier this simple: no generations, no tombstones —

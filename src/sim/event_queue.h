@@ -1,23 +1,23 @@
-// A deterministic three-tier discrete-event queue.
+// A deterministic two-tier discrete-event queue.
 //
 // Events are (time, sequence, callback) triples. Ties on time are broken by
 // insertion sequence so that a given schedule order always replays
 // identically, which the reproduction relies on for bit-identical simulation
 // traces across runs.
 //
-// Three tiers share one sequence counter:
-//  * ScheduleAt() — a binary heap for one-shot, non-cancellable events with
-//    irregular or far-future deadlines (workload arrivals, failure
-//    injections, calendar overflow).
-//  * ScheduleTimer()/CancelTimer() — a hierarchical timer wheel for the
-//    high-churn cancellable timers (per-QP RTO re-arms, DCQCN TI/TD/alpha
-//    ticks, NIC scheduler wake-ups). Arm and Cancel are O(1) and a
-//    cancelled timer leaves no garbage event behind.
+// Two tiers share one sequence counter:
+//  * A cancellable binary heap holds every callback event: one-shot
+//    ScheduleAt() events (workload arrivals, failure injections, calendar
+//    overflow) and ScheduleTimer() timers (per-QP RTO re-arms, DCQCN
+//    TI/TD/alpha ticks, NIC scheduler wake-ups). The heap sifts 24-byte
+//    (time, seq, node) keys; callbacks stay put in a freelist node pool, and
+//    each node records its heap position, so CancelTimer() removes the entry
+//    in O(log n) and leaves no garbage event behind.
 //  * ScheduleLineRate() — a calendar queue tuned to the fabric's in-flight
 //    event density for the per-packet serialization/delivery chain (two
 //    events per packet, the hot path at fig1/fig5 scale). Insert and pop
 //    are O(1); entries beyond the calendar horizon overflow to the heap.
-// Pop() merges all tiers by (time, sequence), so the observable firing
+// Pop() merges the tiers by (time, sequence), so the observable firing
 // order is exactly what a single global heap would produce.
 
 #ifndef THEMIS_SRC_SIM_EVENT_QUEUE_H_
@@ -30,9 +30,17 @@
 #include "src/sim/calendar_queue.h"
 #include "src/sim/inline_callback.h"
 #include "src/sim/time.h"
-#include "src/sim/timer_wheel.h"
 
 namespace themis {
+
+// Handle to a pending cancellable timer. Generation-checked: a handle goes
+// stale the moment its entry fires, is cancelled, or the queue is cleared.
+struct TimerId {
+  int32_t node = -1;
+  uint32_t generation = 0;
+
+  bool valid() const { return node >= 0; }
+};
 
 class EventQueue {
  public:
@@ -45,8 +53,7 @@ class EventQueue {
   // Schedules `cb` to fire at absolute time `at`. `at` must not be earlier
   // than the time of the most recently popped event.
   void ScheduleAt(TimePs at, Callback cb) {
-    heap_.push_back(Entry{at, next_seq_++, std::move(cb)});
-    SiftUp(heap_.size() - 1);
+    Push(at, std::move(cb));
     ++heap_scheduled_;
   }
 
@@ -75,15 +82,27 @@ class EventQueue {
     return true;
   }
 
-  // Schedules a cancellable entry on the timer wheel. The returned id stays
-  // valid until the entry fires or is cancelled.
+  // Schedules a cancellable heap entry. The returned id stays valid until
+  // the entry fires or is cancelled, or the queue is cleared.
   TimerId ScheduleTimer(TimePs at, Callback cb) {
     ++wheel_scheduled_;
-    return wheel_.Schedule(at, next_seq_++, std::move(cb));
+    const uint32_t node = Push(at, std::move(cb));
+    return TimerId{static_cast<int32_t>(node), nodes_[node].generation};
   }
 
-  // O(1); returns false if the entry already fired or was cancelled.
-  bool CancelTimer(TimerId id) { return wheel_.Cancel(id); }
+  // O(log n); returns false if the entry already fired or was cancelled.
+  bool CancelTimer(TimerId id) {
+    if (!id.valid() || static_cast<size_t>(id.node) >= nodes_.size()) {
+      return false;
+    }
+    const uint32_t node = static_cast<uint32_t>(id.node);
+    if (nodes_[node].generation != id.generation) {
+      return false;
+    }
+    RemoveAt(nodes_[node].pos);
+    FreeNode(node);
+    return true;
+  }
 
   // Sizes the calendar tier: bucket width 2^width_bits ps, `bucket_count`
   // (power of two) buckets. Only legal while the calendar is empty — the
@@ -93,196 +112,199 @@ class EventQueue {
     return calendar_.Configure(width_bits, bucket_count);
   }
 
-  bool empty() const {
-    return heap_.empty() && wheel_.pending() == 0 && calendar_.pending() == 0;
-  }
-  size_t size() const { return heap_.size() + wheel_.pending() + calendar_.pending(); }
+  bool empty() const { return heap_.empty() && calendar_.pending() == 0; }
+  size_t size() const { return heap_.size() + calendar_.pending(); }
 
   // Time of the earliest pending event. Queue must be non-empty.
   TimePs NextTime() {
     Sync();
-    TimePs t = heap_.empty() ? kTimeInfinity : heap_.front().time;
-    if (calendar_.HasReady() && calendar_.ReadyTime() < t) {
-      t = calendar_.ReadyTime();
-    }
-    if (wheel_.HasReady() && wheel_.ReadyTime() < t) {
-      t = wheel_.ReadyTime();
-    }
-    return t;
+    return CalendarFirst() ? calendar_.ReadyTime() : heap_.front().time;
   }
 
-  // Removes and returns the earliest event's callback, advancing `*time_out`.
+  // Removes the earliest event, advancing `*time_out`, and returns its
+  // callback (empty for a tagged calendar entry). Queue must be non-empty.
   Callback Pop(TimePs* time_out) {
-    Sync();
-    return PopBest(time_out);
+    Callback cb;
+    uint64_t tag = 0;
+    PopEvent(kTimeInfinity, time_out, &cb, &tag);
+    return cb;
   }
 
-  // The run loop's pop, fused with NextTime() so each event pays one tier
-  // sync: pops the earliest event only if it fires at or before `deadline`,
-  // and returns false (leaving `*cb` and `*tag` untouched) if the queue is
-  // empty or the earliest event fires later. A tagged calendar entry comes
-  // out as its non-zero tag in `*tag` (leaving `*cb` untouched) for the
-  // Simulator's dispatcher to decode; any other event comes out as its
-  // callback in `*cb`, with `*tag` set to 0.
+  // The run loop's pop: pops the earliest event only if it fires at or
+  // before `deadline`, and returns false (leaving `*cb` and `*tag`
+  // untouched) if the queue is empty or the earliest event fires later. A
+  // tagged calendar entry comes out as its non-zero tag in `*tag` (leaving
+  // `*cb` untouched) for the Simulator's dispatcher to decode; any other
+  // event comes out as its callback in `*cb`, with `*tag` set to 0.
   bool PopEvent(TimePs deadline, TimePs* time_out, Callback* cb, uint64_t* tag) {
     if (empty()) {
       return false;
     }
     Sync();
-    const Tier tier = BestTier();
-    if (TierTime(tier) > deadline) {
-      return false;
-    }
-    if (tier == Tier::kCalendar && calendar_.ReadyIsTagged()) {
-      *tag = calendar_.PopReadyTag(time_out);
+    if (CalendarFirst()) {
+      if (calendar_.ReadyTime() > deadline) {
+        return false;
+      }
+      if (calendar_.ReadyIsTagged()) {
+        *tag = calendar_.PopReadyTag(time_out);
+      } else {
+        *tag = 0;
+        *cb = calendar_.PopReady(time_out);
+      }
       return true;
     }
+    const Key top = heap_.front();
+    if (top.time > deadline) {
+      return false;
+    }
+    RemoveAt(0);
+    *time_out = top.time;
     *tag = 0;
-    *cb = PopTier(tier, time_out);
+    *cb = std::move(nodes_[top.node].callback);
+    FreeNode(top.node);
     return true;
   }
 
+  // Drops every pending event. Freeing a node bumps its generation, so every
+  // outstanding TimerId goes stale.
   void Clear() {
+    for (const Key& key : heap_) {
+      FreeNode(key.node);
+    }
     heap_.clear();
-    wheel_.Clear();
     calendar_.Clear();
   }
 
   uint64_t total_scheduled() const { return next_seq_; }
-  // Per-tier schedule counts (calendar overflow counts towards the heap).
+  // Schedule counts by API: heap_scheduled() counts ScheduleAt() calls plus
+  // calendar overflow; wheel_scheduled() counts cancellable timer arms
+  // (ScheduleTimer() calls); calendar_scheduled() counts line-rate entries
+  // the calendar housed.
   uint64_t heap_scheduled() const { return heap_scheduled_; }
   uint64_t wheel_scheduled() const { return wheel_scheduled_; }
   uint64_t calendar_scheduled() const { return calendar_scheduled_; }
   // Per-tier occupancy, for the `sim.*_pending` telemetry gauges.
   size_t heap_pending() const { return heap_.size(); }
-  size_t wheel_pending() const { return wheel_.pending(); }
   size_t calendar_pending() const { return calendar_.pending(); }
   const CalendarQueue& calendar() const { return calendar_; }
 
  private:
-  enum class Tier : uint8_t { kHeap, kWheel, kCalendar };
-
-  struct Entry {
+  // 24-byte heap key; the callback stays in nodes_[node].
+  struct Key {
     TimePs time;
     uint64_t seq;
-    Callback callback;
+    uint32_t node;
 
-    bool Before(const Entry& other) const {
+    bool Before(const Key& other) const {
       return time < other.time || (time == other.time && seq < other.seq);
     }
   };
+  static_assert(sizeof(Key) == 24, "heap key must stay 24 bytes");
 
-  // Pulls every wheel and calendar entry that could precede the earliest
-  // visible candidate into the respective ready heaps, so the merge in
-  // Pop()/NextTime() is exact. The calendar is collected against the heap
-  // top; the wheel against the min of heap top and calendar ready — any
-  // entry that could be the global minimum ends up comparable.
-  void Sync() {
-    const TimePs heap_top = heap_.empty() ? kTimeInfinity : heap_.front().time;
-    calendar_.CollectDue(heap_top);
-    TimePs wheel_bound = heap_top;
-    if (calendar_.HasReady() && calendar_.ReadyTime() < wheel_bound) {
-      wheel_bound = calendar_.ReadyTime();
+  struct Node {
+    Callback callback;
+    uint32_t pos = 0;  // heap_ index while live; next free node while free
+    uint32_t generation = 0;
+  };
+
+  static constexpr uint32_t kNil = ~uint32_t{0};
+
+  // Pulls every calendar entry that could precede the heap top into the
+  // calendar's ready heap, so the two-way (time, seq) merge is exact.
+  void Sync() { calendar_.CollectDue(heap_.empty() ? kTimeInfinity : heap_.front().time); }
+
+  // True if the calendar's ready top precedes the heap top. Pre: Sync()ed
+  // and not empty.
+  bool CalendarFirst() const {
+    if (!calendar_.HasReady()) {
+      return false;
     }
-    wheel_.CollectDue(wheel_bound);
+    if (heap_.empty()) {
+      return true;
+    }
+    const Key& top = heap_.front();
+    const TimePs t = calendar_.ReadyTime();
+    return t < top.time || (t == top.time && calendar_.ReadySeq() < top.seq);
   }
 
-  // Earliest tier by (time, seq). Pre: Sync()ed and not empty.
-  Tier BestTier() {
-    TimePs best_time = kTimeInfinity;
-    uint64_t best_seq = UINT64_MAX;
-    Tier tier = Tier::kHeap;
-    if (!heap_.empty()) {
-      best_time = heap_.front().time;
-      best_seq = heap_.front().seq;
+  uint32_t Push(TimePs at, Callback cb) {
+    uint32_t node = free_node_;
+    if (node != kNil) {
+      free_node_ = nodes_[node].pos;
+      nodes_[node].callback = std::move(cb);
+    } else {
+      node = static_cast<uint32_t>(nodes_.size());
+      nodes_.push_back(Node{std::move(cb)});
     }
-    if (calendar_.HasReady()) {
-      const TimePs t = calendar_.ReadyTime();
-      const uint64_t s = calendar_.ReadySeq();
-      if (t < best_time || (t == best_time && s < best_seq)) {
-        best_time = t;
-        best_seq = s;
-        tier = Tier::kCalendar;
-      }
-    }
-    if (wheel_.HasReady()) {
-      const TimePs t = wheel_.ReadyTime();
-      if (t < best_time || (t == best_time && wheel_.ReadySeq() < best_seq)) {
-        tier = Tier::kWheel;
-      }
-    }
-    return tier;
+    heap_.push_back(Key{at, next_seq_++, node});
+    SiftUp(heap_.size() - 1);
+    return node;
   }
 
-  TimePs TierTime(Tier tier) {
-    switch (tier) {
-      case Tier::kWheel:
-        return wheel_.ReadyTime();
-      case Tier::kCalendar:
-        return calendar_.ReadyTime();
-      case Tier::kHeap:
-        break;
-    }
-    return heap_.front().time;
+  void FreeNode(uint32_t node) {
+    Node& n = nodes_[node];
+    n.callback.Reset();
+    ++n.generation;
+    n.pos = free_node_;
+    free_node_ = node;
   }
 
-  Callback PopTier(Tier tier, TimePs* time_out) {
-    switch (tier) {
-      case Tier::kWheel:
-        return wheel_.PopReady(time_out);
-      case Tier::kCalendar:
-        return calendar_.PopReady(time_out);
-      case Tier::kHeap:
-        break;
-    }
-    Entry top = std::move(heap_.front());
-    const size_t n = heap_.size() - 1;
-    if (n > 0) {
-      heap_.front() = std::move(heap_.back());
-    }
+  // Removes the key at heap index `i` (its node is the caller's to free).
+  void RemoveAt(size_t i) {
+    const Key last = heap_.back();
     heap_.pop_back();
-    if (n > 1) {
-      SiftDown(0);
+    if (i == heap_.size()) {
+      return;
     }
-    *time_out = top.time;
-    return std::move(top.callback);
+    Place(i, last);
+    if (i > 0 && last.Before(heap_[(i - 1) / 2])) {
+      SiftUp(i);
+    } else {
+      SiftDown(i);
+    }
   }
 
-  Callback PopBest(TimePs* time_out) { return PopTier(BestTier(), time_out); }
+  void Place(size_t i, const Key& key) {
+    heap_[i] = key;
+    nodes_[key.node].pos = static_cast<uint32_t>(i);
+  }
 
   void SiftUp(size_t i) {
+    const Key key = heap_[i];
     while (i > 0) {
       const size_t parent = (i - 1) / 2;
-      if (!heap_[i].Before(heap_[parent])) {
+      if (!key.Before(heap_[parent])) {
         break;
       }
-      std::swap(heap_[i], heap_[parent]);
+      Place(i, heap_[parent]);
       i = parent;
     }
+    Place(i, key);
   }
 
   void SiftDown(size_t i) {
+    const Key key = heap_[i];
     const size_t n = heap_.size();
     while (true) {
-      const size_t left = 2 * i + 1;
-      const size_t right = 2 * i + 2;
-      size_t smallest = i;
-      if (left < n && heap_[left].Before(heap_[smallest])) {
-        smallest = left;
-      }
-      if (right < n && heap_[right].Before(heap_[smallest])) {
-        smallest = right;
-      }
-      if (smallest == i) {
+      size_t child = 2 * i + 1;
+      if (child >= n) {
         break;
       }
-      std::swap(heap_[i], heap_[smallest]);
-      i = smallest;
+      if (child + 1 < n && heap_[child + 1].Before(heap_[child])) {
+        ++child;
+      }
+      if (!heap_[child].Before(key)) {
+        break;
+      }
+      Place(i, heap_[child]);
+      i = child;
     }
+    Place(i, key);
   }
 
-  std::vector<Entry> heap_;
-  TimerWheel wheel_;
+  std::vector<Key> heap_;   // min-heap by (time, seq)
+  std::vector<Node> nodes_;  // callback pool indexed by Key::node
+  uint32_t free_node_ = kNil;  // freelist head, threaded through Node::pos
   CalendarQueue calendar_;
   uint64_t next_seq_ = 0;
   uint64_t heap_scheduled_ = 0;

@@ -4,13 +4,13 @@
 // executive is single-threaded by design; determinism comes from integer
 // time plus FIFO tie-breaking in the event queue.
 //
-// Three scheduling tiers (see event_queue.h): plain Schedule()/ScheduleAt()
-// events go to the binary heap; cancellable timers (Timer, PeriodicTimer,
-// ScheduleTimer) ride the hierarchical timer wheel; line-rate one-shots
-// (ScheduleSerialization) ride a calendar queue sized to the fabric's
-// in-flight event density. All tiers draw sequence numbers from the same
-// counter, so the firing order — and therefore every fixed-seed trace — is
-// identical to a single global heap.
+// Two scheduling tiers (see event_queue.h): plain Schedule()/ScheduleAt()
+// events and cancellable timers (Timer, PeriodicTimer, ScheduleTimer) share
+// one cancellable binary heap; line-rate one-shots (ScheduleSerialization)
+// ride a calendar queue sized to the fabric's in-flight event density. Both
+// tiers draw sequence numbers from the same counter, so the firing order —
+// and therefore every fixed-seed trace — is identical to a single global
+// heap.
 
 #ifndef THEMIS_SRC_SIM_SIMULATOR_H_
 #define THEMIS_SRC_SIM_SIMULATOR_H_
@@ -101,7 +101,7 @@ class Simulator {
   // Read-only queue access for telemetry gauges and tier-occupancy stats.
   const EventQueue& queue() const { return queue_; }
 
-  // Cancellable timer entries on the wheel; Arm and Cancel are O(1) and a
+  // Cancellable timer entries on the heap; Cancel is O(log n) and a
   // cancelled entry leaves no residue in the queue.
   TimerId ScheduleTimer(TimePs delay, EventQueue::Callback cb) {
     return queue_.ScheduleTimer(now_ + delay, std::move(cb));
@@ -174,9 +174,8 @@ class Simulator {
   LineRateDispatcher line_rate_dispatcher_ = nullptr;
 };
 
-// A cancellable, re-armable one-shot timer backed by the timer wheel.
-// Cancel() and re-Arm() are O(1) and physically remove the pending entry —
-// unlike the old generation-counting scheme, no superseded no-op event is
+// A cancellable, re-armable one-shot timer. Cancel() and re-Arm()
+// physically remove the pending heap entry, so no superseded no-op event is
 // left behind to be popped later.
 class Timer {
  public:
@@ -222,7 +221,7 @@ class Timer {
   TimePs deadline_ = 0;
 };
 
-// A fixed-period repeating timer riding the timer wheel. Stops when
+// A fixed-period repeating timer on the cancellable heap. Stops when
 // Cancel()ed or destroyed.
 class PeriodicTimer {
  public:

@@ -52,9 +52,9 @@ class TraceTrafficModel : public TrafficModel {
 };
 
 // Samples real per-port (occupancy, utilization) during a full-fidelity run
-// on a wheel-tier periodic timer. Utilization is measured as the tx-bytes
-// delta over the sample period against link capacity; occupancy is the
-// instantaneous data-queue depth. Attach before Run(), then Harvest() after.
+// on a PeriodicTimer. Utilization is measured as the tx-bytes delta over the
+// sample period against link capacity; occupancy is the instantaneous
+// data-queue depth. Attach before Run(), then Harvest() after.
 class OccupancyRecorder {
  public:
   OccupancyRecorder(Simulator* sim, std::vector<Port*> ports, TimePs period);

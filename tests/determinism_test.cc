@@ -5,9 +5,9 @@
 // times) into one FNV-1a value. The golden constants below were captured on
 // the seed engine (single binary heap, std::function events) BEFORE the
 // multi-tier refactors; the current engine must reproduce them bit-for-bit.
-// This is the refactors' core invariant: the timer wheel, the calendar
-// queue, the inline callbacks, and the wheel-backed Timer/PeriodicTimer
-// must be invisible in the event order.
+// This is the refactors' core invariant: the calendar queue, the inline
+// callbacks, and the heap-backed cancellable Timer/PeriodicTimer must be
+// invisible in the event order.
 //
 // SweepRunner determinism is pinned the same way: a sweep's results must be
 // byte-identical whether it runs on 1 worker or many.

@@ -1,12 +1,12 @@
-// Tests for the three-tier event engine: the InlineCallback small-buffer
-// type, the hierarchical timer wheel, the line-rate calendar queue, and the
-// (time, seq) merge across all tiers and the binary heap.
+// Tests for the two-tier event engine: the InlineCallback small-buffer
+// type, the cancellable binary heap that holds one-shot events and timers,
+// the line-rate calendar queue, and the (time, seq) merge of the two tiers.
 //
 // The centrepiece is a randomized stress test that drives the real
 // EventQueue and a naive sorted-reference model through identical
 // Schedule/ScheduleTimer/Cancel/Pop interleavings and demands the exact
-// same firing order — this is the property ("wheel is invisible") that
-// keeps fixed-seed traces bit-identical across the engine refactor.
+// same firing order — this is the property ("tiers are invisible") that
+// keeps fixed-seed traces bit-identical across engine refactors.
 
 #include <algorithm>
 #include <cstdint>
@@ -106,7 +106,7 @@ TEST(InlineCallbackTest, MustInlineAcceptsPacketPathCaptures) {
   EXPECT_EQ(fake.x, 3);
 }
 
-// --- TimerWheel via EventQueue ----------------------------------------------
+// --- Cancellable timers via EventQueue --------------------------------------
 
 TEST(TimerWheelTest, CancelledTimerNeverFiresAndLeavesNoEvent) {
   EventQueue q;
@@ -124,8 +124,8 @@ TEST(TimerWheelTest, CancelAfterCollectIntoReadyHeap) {
   int fired = 0;
   TimerId id = q.ScheduleTimer(100, [&fired] { ++fired; });
   q.ScheduleAt(50'000'000, [] {});
-  // NextTime() syncs the wheel: the timer entry is pulled into the ready
-  // heap. A cancel must still win.
+  // NextTime() has already seen the timer entry at the heap top. A cancel
+  // must still win.
   EXPECT_EQ(q.NextTime(), 100);
   EXPECT_TRUE(q.CancelTimer(id));
   TimePs t = 0;
@@ -136,8 +136,7 @@ TEST(TimerWheelTest, CancelAfterCollectIntoReadyHeap) {
 }
 
 TEST(TimerWheelTest, FarFutureTimersTakeOverflowPath) {
-  // 300 s is beyond the wheel's ~281 s span, so these entries sit in the
-  // overflow list until the cursor gets near.
+  // Deadlines hundreds of seconds out still fire in (time, seq) order.
   EventQueue q;
   std::vector<int> order;
   q.ScheduleTimer(300 * kSecond + 5, [&order] { order.push_back(2); });
@@ -167,7 +166,57 @@ TEST(TimerWheelTest, FifoTieBreakAcrossTiers) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
-// --- Randomized stress: wheel+heap vs a sorted-reference model ---------------
+// A TimerId names a pool node plus the generation it was issued at. Freeing
+// a node (fire, cancel, Clear) bumps its generation, so a stale id can never
+// cancel whatever later occupies the same node.
+TEST(TimerHeapTest, StaleIdAfterClearCancelsNothing) {
+  EventQueue q;
+  int old_fired = 0;
+  int new_fired = 0;
+  const TimerId stale = q.ScheduleTimer(100, [&old_fired] { ++old_fired; });
+  q.Clear();
+  EXPECT_TRUE(q.empty());
+  const TimerId fresh = q.ScheduleTimer(200, [&new_fired] { ++new_fired; });
+  ASSERT_EQ(fresh.node, stale.node);  // Clear() returned the node for reuse
+  EXPECT_FALSE(q.CancelTimer(stale));
+  EXPECT_EQ(q.size(), 1u);
+  TimePs t = 0;
+  q.Pop(&t)();
+  EXPECT_EQ(t, 200);
+  EXPECT_EQ(new_fired, 1);
+  EXPECT_EQ(old_fired, 0);
+  EXPECT_FALSE(q.CancelTimer(fresh));  // fired
+}
+
+TEST(TimerHeapTest, StaleIdAfterNodeReuseCancelsNothing) {
+  EventQueue q;
+  TimePs t = 0;
+  const TimerId fired_id = q.ScheduleTimer(100, [] {});
+  q.Pop(&t)();
+  const TimerId cancelled_id = q.ScheduleTimer(150, [] {});
+  ASSERT_EQ(cancelled_id.node, fired_id.node);  // the fired node was reused
+  EXPECT_FALSE(q.CancelTimer(fired_id));
+  EXPECT_TRUE(q.CancelTimer(cancelled_id));
+
+  // The node's next occupants — a timer and a one-shot event — survive
+  // cancels through both stale ids.
+  int fired = 0;
+  const TimerId fresh = q.ScheduleTimer(200, [&fired] { ++fired; });
+  ASSERT_EQ(fresh.node, fired_id.node);
+  EXPECT_FALSE(q.CancelTimer(fired_id));
+  EXPECT_FALSE(q.CancelTimer(cancelled_id));
+  ASSERT_TRUE(q.CancelTimer(fresh));
+  q.ScheduleAt(300, [&fired] { fired += 10; });
+  EXPECT_FALSE(q.CancelTimer(fired_id));
+  EXPECT_FALSE(q.CancelTimer(cancelled_id));
+  EXPECT_FALSE(q.CancelTimer(fresh));
+  EXPECT_EQ(q.size(), 1u);
+  q.Pop(&t)();
+  EXPECT_EQ(t, 300);
+  EXPECT_EQ(fired, 10);
+}
+
+// --- Randomized stress: timers+heap vs a sorted-reference model -------------
 
 struct RefEntry {
   TimePs time = 0;
@@ -188,8 +237,8 @@ TEST(TimerWheelStressTest, MatchesReferenceUnderRandomChurn) {
     TimePs now = 0;
     uint64_t monotonic_check = 0;
 
-    // Delay distributions chosen to exercise every wheel path: level-0
-    // slots, upper levels + cascades, zero-delay arms, and overflow.
+    // Delay distributions span sub-nanosecond to hundreds of seconds, with
+    // zero-delay arms, so cancels hit every heap depth.
     auto random_delay = [&rng]() -> TimePs {
       switch (rng.Below(8)) {
         case 0:
@@ -217,7 +266,7 @@ TEST(TimerWheelStressTest, MatchesReferenceUnderRandomChurn) {
 
     for (int op = 0; op < 20'000; ++op) {
       const uint64_t dice = rng.Below(100);
-      if (dice < 40) {  // arm a wheel timer
+      if (dice < 40) {  // arm a cancellable timer
         const int id = static_cast<int>(ref.size());
         const TimePs at = now + random_delay();
         ref.push_back(RefEntry{at, next_seq++, id, false, false});
@@ -434,7 +483,8 @@ TEST(CalendarQueueTest, ReanchorsAfterIdleStretch) {
   EXPECT_EQ(fired, 2);
 }
 
-// Randomized stress: all three tiers against the sorted-reference model.
+// Randomized stress: line-rate, timer and one-shot schedules against the
+// sorted-reference model.
 // A deliberately tiny calendar (8 buckets x 1024 ps = 8192 ps horizon)
 // forces constant bucket wraps and frequent overflow-to-heap, while delays
 // of 0 generate (time, seq) ties across tiers.
@@ -481,7 +531,7 @@ TEST(CalendarStressTest, ThreeTierMixMatchesReference) {
         const TimePs at = now + random_delay();
         ref.push_back(RefEntry{at, next_seq++, id, false, false});
         q.ScheduleLineRate(at, [&fire, id] { fire(id); });
-      } else if (dice < 55) {  // wheel timer
+      } else if (dice < 55) {  // cancellable timer
         const int id = static_cast<int>(ref.size());
         const TimePs at = now + random_delay();
         ref.push_back(RefEntry{at, next_seq++, id, false, false});

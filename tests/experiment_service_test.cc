@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <iterator>
 #include <fstream>
@@ -651,6 +652,33 @@ TEST(ConfigHashTest, BuiltinGridPointHashesAreDistinct) {
     std::sort(hashes.begin(), hashes.end());
     EXPECT_EQ(std::adjacent_find(hashes.begin(), hashes.end()), hashes.end())
         << "duplicate config hash in grid " << name;
+  }
+}
+
+// --- THEMIS_BENCH_MB ----------------------------------------------------------
+
+TEST(SweepMessageBytesTest, ParsesWholeMibAndFallsBackToDefault) {
+  unsetenv("THEMIS_BENCH_MB");
+  EXPECT_EQ(SweepMessageBytes(8), 8ull << 20);
+  setenv("THEMIS_BENCH_MB", "16", /*overwrite=*/1);
+  EXPECT_EQ(SweepMessageBytes(8), 16ull << 20);
+  setenv("THEMIS_BENCH_MB", "17592186044415", /*overwrite=*/1);  // 2^44 - 1
+  EXPECT_EQ(SweepMessageBytes(8), 17592186044415ull << 20);
+  unsetenv("THEMIS_BENCH_MB");
+}
+
+// Junk, trailing characters, a sign, 0, and values whose `<< 20` would wrap
+// exit 1 with a message naming the variable and the offending value.
+TEST(SweepMessageBytesDeathTest, RejectsMalformedValues) {
+  for (const std::string bad :
+       {"abc", "8x", "", " 8", "-1", "0", "17592186044416", "99999999999999999999999"}) {
+    EXPECT_EXIT(
+        {
+          setenv("THEMIS_BENCH_MB", bad.c_str(), /*overwrite=*/1);
+          SweepMessageBytes(8);
+        },
+        testing::ExitedWithCode(1), "THEMIS_BENCH_MB='" + bad + "'")
+        << "value '" << bad << "'";
   }
 }
 
