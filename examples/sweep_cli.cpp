@@ -13,12 +13,13 @@
 // its journal is missing; points are keyed on a config hash, so editing one
 // grid point invalidates exactly that point. Run with --help for the flags.
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
-#include <vector>
 
+#include "examples/flags.h"
+#include "src/core/sweep_runner.h"
 #include "src/experiment_service/grids.h"
 #include "src/experiment_service/merge.h"
 #include "src/experiment_service/shard_executor.h"
@@ -38,84 +39,45 @@ enum class Mode {
 struct CliOptions {
   std::string grid = "fct-smoke";
   Mode mode = Mode::kShard;
-  int shards = 1;
-  int shard_index = 0;
-  bool resume = false;
-  int threads = 0;
-  std::string dir = ".";
+  ShardOptions shard;
   std::string out;  // --single / --merge output; default <dir>/<grid>.csv
   bool counters = false;
 };
 
-[[noreturn]] void Usage(int code) {
-  std::printf(
-      "sweep_cli — sharded, resumable sweep launcher with byte-identical merge\n\n"
-      "  --grid=NAME          builtin grid to run (default fct-smoke)\n"
-      "  --list-grids         print the builtin grid names and exit\n"
-      "  --shards=N           total shard count (default 1)\n"
-      "  --shard-index=I      this shard, 0-based (default 0)\n"
-      "  --resume             replay this shard's journal and run only missing points\n"
-      "  --threads=N          SweepRunner threads (default: THEMIS_SWEEP_THREADS, then\n"
-      "                       hardware concurrency)\n"
-      "  --dir=PATH           manifest/journal/CSV directory (default .; must exist)\n"
-      "  --merge              merge the --shards journals in --dir into --out instead\n"
-      "                       of running; fails if any grid point is missing\n"
-      "  --single             run the whole grid in-process and write --out — the\n"
-      "                       reference byte stream every merge must equal\n"
-      "  --manifest-only      write <dir>/<grid>.manifest and exit\n"
-      "  --out=PATH           output CSV for --single/--merge (default <dir>/<grid>.csv)\n"
-      "  --counters           after a shard run, print the sweep.* telemetry counters\n");
-  std::exit(code);
-}
-
-bool ParseValue(const char* arg, const char* name, std::string* out) {
-  const size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-    *out = arg + len + 1;
-    return true;
-  }
-  return false;
-}
-
 CliOptions Parse(int argc, char** argv) {
   CliOptions opts;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    std::string value;
-    if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
-      Usage(0);
-    } else if (std::strcmp(arg, "--list-grids") == 0) {
-      for (const std::string& name : BuiltinGridNames()) {
-        std::printf("%s\n", name.c_str());
-      }
-      std::exit(0);
-    } else if (std::strcmp(arg, "--resume") == 0) {
-      opts.resume = true;
-    } else if (std::strcmp(arg, "--merge") == 0) {
-      opts.mode = Mode::kMerge;
-    } else if (std::strcmp(arg, "--single") == 0) {
-      opts.mode = Mode::kSingle;
-    } else if (std::strcmp(arg, "--manifest-only") == 0) {
-      opts.mode = Mode::kManifestOnly;
-    } else if (std::strcmp(arg, "--counters") == 0) {
-      opts.counters = true;
-    } else if (ParseValue(arg, "--grid", &value)) {
-      opts.grid = value;
-    } else if (ParseValue(arg, "--shards", &value)) {
-      opts.shards = std::atoi(value.c_str());
-    } else if (ParseValue(arg, "--shard-index", &value)) {
-      opts.shard_index = std::atoi(value.c_str());
-    } else if (ParseValue(arg, "--threads", &value)) {
-      opts.threads = std::atoi(value.c_str());
-    } else if (ParseValue(arg, "--dir", &value)) {
-      opts.dir = value;
-    } else if (ParseValue(arg, "--out", &value)) {
-      opts.out = value;
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n\n", arg);
-      Usage(2);
+  FlagTable flags("sweep_cli — sharded, resumable sweep launcher with byte-identical merge");
+  flags.Text("--grid", "NAME", &opts.grid, "builtin grid to run");
+  flags.Switch("--list-grids", "print the builtin grid names and exit", [] {
+    for (const std::string& name : BuiltinGridNames()) {
+      std::printf("%s\n", name.c_str());
     }
-  }
+    std::exit(0);
+  });
+  // The shard executor checks --shard-index < --shards.
+  flags.Number("--shards", &opts.shard.shard_count, 1, INT_MAX, "total shard count");
+  flags.Number("--shard-index", &opts.shard.shard_index, 0, INT_MAX, "this shard, 0-based");
+  flags.Switch("--resume", "replay this shard's journal and run only missing points",
+               [&opts] { opts.shard.resume = true; });
+  flags.Number("--threads", &opts.shard.threads, 0, SweepRunner::kMaxThreads,
+               "SweepRunner threads (0: THEMIS_SWEEP_THREADS, then\n"
+               "hardware concurrency)");
+  flags.Text("--dir", "PATH", &opts.shard.dir, "manifest/journal/CSV directory; must exist");
+  flags.Switch("--merge",
+               "merge the --shards journals in --dir into --out instead\n"
+               "of running; fails if any grid point is missing",
+               [&opts] { opts.mode = Mode::kMerge; });
+  flags.Switch("--single",
+               "run the whole grid in-process and write --out: the\n"
+               "reference byte stream every merge must equal",
+               [&opts] { opts.mode = Mode::kSingle; });
+  flags.Switch("--manifest-only", "write <dir>/<grid>.manifest and exit",
+               [&opts] { opts.mode = Mode::kManifestOnly; });
+  flags.Text("--out", "PATH", &opts.out,
+             "output CSV for --single/--merge (default <dir>/<grid>.csv)");
+  flags.Switch("--counters", "after a shard run, print the sweep.* telemetry counters",
+               [&opts] { opts.counters = true; });
+  flags.Parse(argc, argv);
   return opts;
 }
 
@@ -135,11 +97,11 @@ int Run(const CliOptions& opts) {
   }
   const SweepManifest manifest = GridManifest(grid);
   const std::string out_csv =
-      opts.out.empty() ? JoinPath(opts.dir, grid.name + ".csv") : opts.out;
+      opts.out.empty() ? JoinPath(opts.shard.dir, grid.name + ".csv") : opts.out;
 
   switch (opts.mode) {
     case Mode::kManifestOnly: {
-      const std::string path = JoinPath(opts.dir, grid.name + ".manifest");
+      const std::string path = JoinPath(opts.shard.dir, grid.name + ".manifest");
       if (!manifest.Write(path, &error)) {
         std::fprintf(stderr, "sweep_cli: %s\n", error.c_str());
         return 1;
@@ -149,7 +111,7 @@ int Run(const CliOptions& opts) {
     }
 
     case Mode::kSingle: {
-      if (!RunGridSingleProcess(grid, opts.threads, out_csv, &error)) {
+      if (!RunGridSingleProcess(grid, opts.shard.threads, out_csv, &error)) {
         std::fprintf(stderr, "sweep_cli: %s\n", error.c_str());
         return 1;
       }
@@ -159,11 +121,11 @@ int Run(const CliOptions& opts) {
     }
 
     case Mode::kMerge: {
-      if (!MergeShardDir(manifest, opts.dir, opts.shards, out_csv, &error)) {
+      if (!MergeShardDir(manifest, opts.shard.dir, opts.shard.shard_count, out_csv, &error)) {
         std::fprintf(stderr, "sweep_cli: %s\n", error.c_str());
         return 1;
       }
-      std::printf("sweep_cli: merged %d shard(s) of %s -> %s\n", opts.shards,
+      std::printf("sweep_cli: merged %d shard(s) of %s -> %s\n", opts.shard.shard_count,
                   grid.name.c_str(), out_csv.c_str());
       return 0;
     }
@@ -175,19 +137,13 @@ int Run(const CliOptions& opts) {
   // Shard mode. The manifest is (re)written first so the artifact directory
   // is self-describing: a later --merge or an out-of-band inspection can
   // check hashes without rebuilding the binary's grid.
-  const std::string manifest_path = JoinPath(opts.dir, grid.name + ".manifest");
+  const std::string manifest_path = JoinPath(opts.shard.dir, grid.name + ".manifest");
   if (!manifest.Write(manifest_path, &error)) {
     std::fprintf(stderr, "sweep_cli: %s\n", error.c_str());
     return 1;
   }
 
-  ShardOptions shard;
-  shard.shard_count = opts.shards;
-  shard.shard_index = opts.shard_index;
-  shard.resume = opts.resume;
-  shard.dir = opts.dir;
-  shard.threads = opts.threads;
-  ShardExecutor executor(manifest, shard);
+  ShardExecutor executor(manifest, opts.shard);
   const bool ok = executor.Run(
       [&grid](const ManifestPoint& point) { return grid.cases[point.index].run(); }, &error);
 
@@ -195,7 +151,7 @@ int Run(const CliOptions& opts) {
   std::printf(
       "sweep[%s]: shard %d/%d points_done=%llu points_skipped=%llu points_failed=%llu "
       "wall_ms=%llu -> %s\n",
-      grid.name.c_str(), opts.shard_index, opts.shards,
+      grid.name.c_str(), opts.shard.shard_index, opts.shard.shard_count,
       static_cast<unsigned long long>(stats.points_done),
       static_cast<unsigned long long>(stats.points_skipped),
       static_cast<unsigned long long>(stats.points_failed),

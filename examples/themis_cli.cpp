@@ -9,13 +9,13 @@
 //
 // Run with --help for the full flag list.
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
 
+#include "examples/flags.h"
 #include "src/core/experiment.h"
 #include "src/stats/report.h"
 #include "src/stats/time_series.h"
@@ -24,161 +24,6 @@
 namespace {
 
 using namespace themis;
-
-struct CliOptions {
-  Scheme scheme = Scheme::kThemis;
-  CollectiveKind collective = CollectiveKind::kAllreduce;
-  TransportKind transport = TransportKind::kNicSr;
-  uint64_t size_mb = 8;
-  int tors = 16;
-  int spines = 16;
-  int hosts_per_tor = 16;
-  int groups = 16;
-  int64_t rate_gbps = 400;
-  int64_t ti_us = 55;
-  int64_t td_us = 50;
-  int64_t skew_ns = 0;
-  uint64_t seed = 1;
-  bool pfc = true;
-  bool compensation = true;
-  bool grace = true;
-  std::string csv_path;
-  std::string trace_path;
-  std::string counters_path;
-};
-
-[[noreturn]] void Usage(int code) {
-  std::printf(
-      "themis_cli — run a Themis packet-spraying experiment\n\n"
-      "  --scheme=ecmp|ar|rps|flowlet|reorder|themis  load balancing (default themis)\n"
-      "  --collective=allreduce|alltoall|allgather|reducescatter|ring|hd|broadcast\n"
-      "  --transport=nic-sr|gbn|ideal|irn|multipath (default nic-sr)\n"
-      "  --size-mb=N          bytes per collective (default 8)\n"
-      "  --tors=N --spines=N --hosts-per-tor=N    fabric shape (default 16x16x16)\n"
-      "  --groups=N           communication groups (default 16)\n"
-      "  --rate-gbps=N        link speed (default 400)\n"
-      "  --ti-us=N --td-us=N  DCQCN rate-increase timer / decrease interval\n"
-      "  --skew-ns=N          per-spine delay skew (default 0)\n"
-      "  --seed=N             RNG seed (default 1)\n"
-      "  --no-pfc             disable priority flow control\n"
-      "  --no-compensation    disable Themis NACK compensation\n"
-      "  --no-grace           disable the pause-aware NACK grace window\n"
-      "  --csv=PATH           append one result row to a CSV file\n"
-      "  --trace=PATH         write a Chrome-trace JSON of sim events (load in Perfetto)\n"
-      "  --counters=PATH      write sampled per-port/per-QP counters as CSV\n");
-  std::exit(code);
-}
-
-bool ParseValue(const char* arg, const char* name, std::string* out) {
-  const size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-    *out = arg + len + 1;
-    return true;
-  }
-  return false;
-}
-
-CliOptions Parse(int argc, char** argv) {
-  CliOptions opts;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    std::string value;
-    if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
-      Usage(0);
-    } else if (std::strcmp(arg, "--no-pfc") == 0) {
-      opts.pfc = false;
-    } else if (std::strcmp(arg, "--no-compensation") == 0) {
-      opts.compensation = false;
-    } else if (std::strcmp(arg, "--no-grace") == 0) {
-      opts.grace = false;
-    } else if (ParseValue(arg, "--scheme", &value)) {
-      if (value == "ecmp") {
-        opts.scheme = Scheme::kEcmp;
-      } else if (value == "ar" || value == "adaptive") {
-        opts.scheme = Scheme::kAdaptiveRouting;
-      } else if (value == "rps" || value == "spray") {
-        opts.scheme = Scheme::kRandomSpray;
-      } else if (value == "flowlet") {
-        opts.scheme = Scheme::kFlowlet;
-      } else if (value == "themis") {
-        opts.scheme = Scheme::kThemis;
-      } else if (value == "reorder") {
-        opts.scheme = Scheme::kSprayReorder;
-      } else {
-        std::fprintf(stderr, "unknown scheme '%s'\n", value.c_str());
-        Usage(1);
-      }
-    } else if (ParseValue(arg, "--collective", &value)) {
-      if (value == "allreduce") {
-        opts.collective = CollectiveKind::kAllreduce;
-      } else if (value == "alltoall") {
-        opts.collective = CollectiveKind::kAlltoall;
-      } else if (value == "allgather") {
-        opts.collective = CollectiveKind::kAllGather;
-      } else if (value == "reducescatter") {
-        opts.collective = CollectiveKind::kReduceScatter;
-      } else if (value == "ring") {
-        opts.collective = CollectiveKind::kNeighborRing;
-      } else if (value == "hd") {
-        opts.collective = CollectiveKind::kHalvingDoublingAllreduce;
-      } else if (value == "broadcast") {
-        opts.collective = CollectiveKind::kBroadcast;
-      } else {
-        std::fprintf(stderr, "unknown collective '%s'\n", value.c_str());
-        Usage(1);
-      }
-    } else if (ParseValue(arg, "--transport", &value)) {
-      if (value == "nic-sr") {
-        opts.transport = TransportKind::kNicSr;
-      } else if (value == "gbn") {
-        opts.transport = TransportKind::kGoBackN;
-      } else if (value == "ideal") {
-        opts.transport = TransportKind::kIdeal;
-      } else if (value == "irn") {
-        opts.transport = TransportKind::kIrn;
-      } else if (value == "multipath") {
-        opts.transport = TransportKind::kMultipath;
-      } else {
-        std::fprintf(stderr, "unknown transport '%s'\n", value.c_str());
-        Usage(1);
-      }
-    } else if (ParseValue(arg, "--size-mb", &value)) {
-      opts.size_mb = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseValue(arg, "--tors", &value)) {
-      opts.tors = std::atoi(value.c_str());
-    } else if (ParseValue(arg, "--spines", &value)) {
-      opts.spines = std::atoi(value.c_str());
-    } else if (ParseValue(arg, "--hosts-per-tor", &value)) {
-      opts.hosts_per_tor = std::atoi(value.c_str());
-    } else if (ParseValue(arg, "--groups", &value)) {
-      opts.groups = std::atoi(value.c_str());
-    } else if (ParseValue(arg, "--rate-gbps", &value)) {
-      opts.rate_gbps = std::atoll(value.c_str());
-    } else if (ParseValue(arg, "--ti-us", &value)) {
-      opts.ti_us = std::atoll(value.c_str());
-    } else if (ParseValue(arg, "--td-us", &value)) {
-      opts.td_us = std::atoll(value.c_str());
-    } else if (ParseValue(arg, "--skew-ns", &value)) {
-      opts.skew_ns = std::atoll(value.c_str());
-    } else if (ParseValue(arg, "--seed", &value)) {
-      opts.seed = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseValue(arg, "--csv", &value)) {
-      opts.csv_path = value;
-    } else if (ParseValue(arg, "--trace", &value)) {
-      opts.trace_path = value;
-    } else if (ParseValue(arg, "--counters", &value)) {
-      opts.counters_path = value;
-    } else {
-      std::fprintf(stderr, "unknown flag '%s'\n", arg);
-      Usage(1);
-    }
-  }
-  if (opts.groups > opts.hosts_per_tor) {
-    std::fprintf(stderr, "--groups must be <= --hosts-per-tor\n");
-    Usage(1);
-  }
-  return opts;
-}
 
 const char* CollectiveName(CollectiveKind kind) {
   switch (kind) {
@@ -203,34 +48,63 @@ const char* CollectiveName(CollectiveKind kind) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const CliOptions opts = Parse(argc, argv);
-
+  // ExperimentConfig's defaults are the Fig. 5 16x16x16 fabric at 400 Gbps.
   ExperimentConfig config;
-  config.seed = opts.seed;
-  config.num_tors = opts.tors;
-  config.num_spines = opts.spines;
-  config.hosts_per_tor = opts.hosts_per_tor;
-  config.link_rate = Rate::Gbps(opts.rate_gbps);
-  config.fabric_delay_skew = opts.skew_ns * kNanosecond;
-  config.scheme = opts.scheme;
-  config.transport = opts.transport;
-  config.cc = CcKind::kDcqcn;
-  config.dcqcn_ti = opts.ti_us * kMicrosecond;
-  config.dcqcn_td = opts.td_us * kMicrosecond;
-  config.pfc_enabled = opts.pfc;
-  config.themis_compensation = opts.compensation;
-  config.themis_pause_grace = opts.grace;
+  config.dcqcn_ti = 55 * kMicrosecond;
+  config.dcqcn_td = 50 * kMicrosecond;
+  CollectiveKind collective = CollectiveKind::kAllreduce;
+  uint64_t size_mb = 8;
+  int group_count = 16;
+  std::string csv_path;
+  std::string trace_path;
+  std::string counters_path;
+
+  FlagTable flags("themis_cli — run a Themis packet-spraying experiment");
+  AddExperimentFlags(&flags, &config, &trace_path, &counters_path);
+  flags.Choice("--collective", &collective,
+               {{"allreduce", CollectiveKind::kAllreduce},
+                {"alltoall", CollectiveKind::kAlltoall},
+                {"allgather", CollectiveKind::kAllGather},
+                {"reducescatter", CollectiveKind::kReduceScatter},
+                {"ring", CollectiveKind::kNeighborRing},
+                {"hd", CollectiveKind::kHalvingDoublingAllreduce},
+                {"broadcast", CollectiveKind::kBroadcast}},
+               "collective every group runs");
+  flags.Choice("--transport", &config.transport,
+               {{"nic-sr", TransportKind::kNicSr},
+                {"gbn", TransportKind::kGoBackN},
+                {"ideal", TransportKind::kIdeal},
+                {"irn", TransportKind::kIrn},
+                {"multipath", TransportKind::kMultipath}},
+               "RNIC loss recovery");
+  // Below 2^44 MiB so that `<< 20` cannot wrap.
+  flags.Number<uint64_t>("--size-mb", &size_mb, 1, UINT64_MAX >> 20, "MiB per collective");
+  flags.Number("--groups", &group_count, 1, kMaxFabricDim,
+               "communication groups, at most --hosts-per-tor");
+  flags.Duration("--ti-us", &config.dcqcn_ti, kMicrosecond, 1, "DCQCN rate-increase timer TI");
+  flags.Duration("--td-us", &config.dcqcn_td, kMicrosecond, 1,
+                 "DCQCN rate-decrease interval TD");
+  flags.Duration("--skew-ns", &config.fabric_delay_skew, kNanosecond, 0,
+                 "per-spine delay skew");
+  flags.Text("--csv", "PATH", &csv_path, "append one result row to a CSV file");
+  flags.Parse(argc, argv);
+  if (group_count > config.hosts_per_tor) {
+    std::fprintf(stderr, "--groups must be <= --hosts-per-tor\n");
+    return 1;
+  }
+  const long long rate_gbps = config.link_rate.bps() / Rate::Gbps(1).bps();
+  const long long ti_us = config.dcqcn_ti / kMicrosecond;
+  const long long td_us = config.dcqcn_td / kMicrosecond;
 
   Experiment exp(config);
   std::unique_ptr<Telemetry> telemetry;
-  if (!opts.trace_path.empty() || !opts.counters_path.empty()) {
+  if (!trace_path.empty() || !counters_path.empty()) {
     telemetry = std::make_unique<Telemetry>(&exp.sim());
     exp.AttachTelemetry(telemetry.get());
     telemetry->StartSampling();
   }
-  auto groups = exp.MakeCrossRackGroups(opts.groups);
-  auto result =
-      exp.RunCollective(opts.collective, groups, opts.size_mb << 20, 300 * kSecond);
+  auto groups = exp.MakeCrossRackGroups(group_count);
+  auto result = exp.RunCollective(collective, groups, size_mb << 20, 300 * kSecond);
   if (telemetry != nullptr) {
     telemetry->StopSampling();
     telemetry->sampler().SampleNow();  // closing row at end-of-run state
@@ -238,12 +112,10 @@ int main(int argc, char** argv) {
 
   std::printf("scheme=%s collective=%s transport=%s fabric=%dx%dx%d rate=%lldG size=%lluMiB "
               "groups=%d DCQCN(TI=%lldus,TD=%lldus) seed=%llu\n",
-              SchemeName(opts.scheme), CollectiveName(opts.collective),
-              TransportKindName(opts.transport), opts.tors, opts.spines, opts.hosts_per_tor,
-              static_cast<long long>(opts.rate_gbps),
-              static_cast<unsigned long long>(opts.size_mb), opts.groups,
-              static_cast<long long>(opts.ti_us), static_cast<long long>(opts.td_us),
-              static_cast<unsigned long long>(opts.seed));
+              SchemeName(config.scheme), CollectiveName(collective),
+              TransportKindName(config.transport), config.num_tors, config.num_spines,
+              config.hosts_per_tor, rate_gbps, static_cast<unsigned long long>(size_mb),
+              group_count, ti_us, td_us, static_cast<unsigned long long>(config.seed));
   if (!result.all_done) {
     std::printf("DID NOT FINISH before deadline\n");
     return 2;
@@ -262,8 +134,8 @@ int main(int argc, char** argv) {
   std::printf("PFC pauses:         %llu\n",
               static_cast<unsigned long long>(exp.TotalPfcPauses()));
   std::printf("spray balance:      %.4f (Jain index across %d spines)\n",
-              exp.SprayBalanceIndex(), opts.spines);
-  if (opts.scheme == Scheme::kSprayReorder) {
+              exp.SprayBalanceIndex(), config.num_spines);
+  if (config.scheme == Scheme::kSprayReorder) {
     const ReorderHookStats r = exp.ReorderStats();
     std::printf("ToR reorder buffer:  %llu held, peak %lld B/flow, %lld B/switch, "
                 "%llu timeout + %llu overflow flushes\n",
@@ -289,37 +161,37 @@ int main(int argc, char** argv) {
     std::printf("telemetry:          %llu events recorded, %llu evicted\n",
                 static_cast<unsigned long long>(telemetry->trace().recorded()),
                 static_cast<unsigned long long>(telemetry->trace().overwritten()));
-    if (!opts.trace_path.empty()) {
-      if (telemetry->WriteTrace(opts.trace_path)) {
-        std::printf("wrote trace to %s\n", opts.trace_path.c_str());
+    if (!trace_path.empty()) {
+      if (telemetry->WriteTrace(trace_path)) {
+        std::printf("wrote trace to %s\n", trace_path.c_str());
       } else {
-        std::fprintf(stderr, "could not write %s\n", opts.trace_path.c_str());
+        std::fprintf(stderr, "could not write %s\n", trace_path.c_str());
       }
     }
-    if (!opts.counters_path.empty()) {
-      if (telemetry->WriteCounters(opts.counters_path)) {
-        std::printf("wrote counters to %s\n", opts.counters_path.c_str());
+    if (!counters_path.empty()) {
+      if (telemetry->WriteCounters(counters_path)) {
+        std::printf("wrote counters to %s\n", counters_path.c_str());
       } else {
-        std::fprintf(stderr, "could not write %s\n", opts.counters_path.c_str());
+        std::fprintf(stderr, "could not write %s\n", counters_path.c_str());
       }
     }
   }
 
-  if (!opts.csv_path.empty()) {
-    const bool fresh = !std::ifstream(opts.csv_path).good();
-    std::ofstream csv(opts.csv_path, std::ios::app);
+  if (!csv_path.empty()) {
+    const bool fresh = !std::ifstream(csv_path).good();
+    std::ofstream csv(csv_path, std::ios::app);
     if (fresh) {
       csv << "scheme,collective,transport,tors,spines,hosts_per_tor,rate_gbps,size_mb,groups,"
              "ti_us,td_us,seed,tail_ms,rtx_ratio,nacks,drops,balance\n";
     }
-    csv << SchemeName(opts.scheme) << ',' << CollectiveName(opts.collective) << ','
-        << TransportKindName(opts.transport) << ',' << opts.tors << ',' << opts.spines << ','
-        << opts.hosts_per_tor << ',' << opts.rate_gbps << ',' << opts.size_mb << ','
-        << opts.groups << ',' << opts.ti_us << ',' << opts.td_us << ',' << opts.seed << ','
-        << ToMilliseconds(result.tail_completion) << ',' << exp.AggregateRetransmissionRatio()
-        << ',' << exp.TotalNacksReceived() << ',' << exp.TotalPortDrops() << ','
-        << exp.SprayBalanceIndex() << '\n';
-    std::printf("appended row to %s\n", opts.csv_path.c_str());
+    csv << SchemeName(config.scheme) << ',' << CollectiveName(collective) << ','
+        << TransportKindName(config.transport) << ',' << config.num_tors << ','
+        << config.num_spines << ',' << config.hosts_per_tor << ',' << rate_gbps << ','
+        << size_mb << ',' << group_count << ',' << ti_us << ',' << td_us << ','
+        << config.seed << ',' << ToMilliseconds(result.tail_completion) << ','
+        << exp.AggregateRetransmissionRatio() << ',' << exp.TotalNacksReceived() << ','
+        << exp.TotalPortDrops() << ',' << exp.SprayBalanceIndex() << '\n';
+    std::printf("appended row to %s\n", csv_path.c_str());
   }
   return 0;
 }

@@ -16,13 +16,14 @@
 #define THEMIS_SRC_CORE_SWEEP_RUNNER_H_
 
 #include <atomic>
-#include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
+
+#include "src/sim/parse_number.h"
 
 namespace themis {
 
@@ -110,15 +111,21 @@ class SweepRunner {
     return results;
   }
 
+  // The most workers THEMIS_SWEEP_THREADS (or sweep_cli --threads) may ask
+  // for; every sweep point is a whole simulation, so more than this only
+  // thrashes memory.
+  static constexpr int kMaxThreads = 256;
+
+  // A THEMIS_SWEEP_THREADS outside [0, kMaxThreads] (0 = auto) or with any
+  // non-digit prints `THEMIS_SWEEP_THREADS='value': reason` and exits 1
+  // before a thread is spawned.
   static int ResolveThreadCount(int requested) {
     if (requested > 0) {
       return requested;
     }
-    if (const char* env = std::getenv("THEMIS_SWEEP_THREADS")) {
-      const int parsed = std::atoi(env);
-      if (parsed > 0) {
-        return parsed;
-      }
+    int env = 0;
+    if (NumberFromEnv("THEMIS_SWEEP_THREADS", 0, kMaxThreads, &env) && env > 0) {
+      return env;
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? static_cast<int>(hw) : 1;

@@ -1,14 +1,12 @@
 #include "src/experiment_service/grids.h"
 
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 
 #include "src/core/sweep_runner.h"
 #include "src/experiment_service/config_hash.h"
-#include "src/experiment_service/shard_executor.h"
+#include "src/sim/parse_number.h"
 #include "src/stats/report.h"
 
 namespace themis {
@@ -316,25 +314,16 @@ GridDef Fig5GridDef(CollectiveKind kind, uint64_t bytes, const std::string& grid
   return grid;
 }
 
-// --- Registry + launcher plumbing -------------------------------------------
+// --- Registry + message sizing ---------------------------------------------
 
 uint64_t SweepMessageBytes(uint64_t default_mib) {
   if (const char* full = std::getenv("THEMIS_FULL_SCALE"); full != nullptr && *full == '1') {
     return 300ull << 20;
   }
-  if (const char* mib = std::getenv("THEMIS_BENCH_MB"); mib != nullptr) {
-    // Digits only: strtoull alone would take "abc" as 0, "8x" as 8, and
-    // "-1" as 2^64 - 1, and `<< 20` would wrap anything above 2^44.
-    const bool digits = *mib != '\0' && std::strspn(mib, "0123456789") == std::strlen(mib);
-    // On overflow strtoull returns ULLONG_MAX, which fails the bound below.
-    const unsigned long long value = digits ? std::strtoull(mib, nullptr, 10) : 0;
-    if (value == 0 || value > (UINT64_MAX >> 20)) {
-      std::fprintf(stderr,
-                   "THEMIS_BENCH_MB='%s': expected a positive whole number of MiB below 2^44\n",
-                   mib);
-      std::exit(1);
-    }
-    return value << 20;
+  // Below 2^44 MiB so that `<< 20` cannot wrap.
+  uint64_t mib = 0;
+  if (NumberFromEnv<uint64_t>("THEMIS_BENCH_MB", 1, UINT64_MAX >> 20, &mib)) {
+    return mib << 20;
   }
   return default_mib << 20;
 }
@@ -365,57 +354,6 @@ GridDef MakeBuiltinGrid(const std::string& name, std::string* error) {
     *error += ")";
   }
   return GridDef{};
-}
-
-bool ShardEnvRequested() {
-  const char* shards = std::getenv("THEMIS_SHARDS");
-  return shards != nullptr && *shards != '\0';
-}
-
-int RunShardFromEnv(const GridDef& grid) {
-  const auto env_int = [](const char* name, int fallback) {
-    const char* value = std::getenv(name);
-    return value != nullptr && *value != '\0' ? std::atoi(value) : fallback;
-  };
-  ShardOptions options;
-  options.shard_count = env_int("THEMIS_SHARDS", 1);
-  options.shard_index = env_int("THEMIS_SHARD_INDEX", 0);
-  if (const char* dir = std::getenv("THEMIS_SHARD_DIR"); dir != nullptr && *dir != '\0') {
-    options.dir = dir;
-  }
-  if (const char* resume = std::getenv("THEMIS_SHARD_RESUME")) {
-    options.resume = *resume == '1';
-  }
-
-  const SweepManifest manifest = GridManifest(grid);
-  std::string manifest_path = options.dir;
-  if (manifest_path.empty() || manifest_path.back() != '/') {
-    manifest_path.push_back('/');
-  }
-  manifest_path += grid.name + ".manifest";
-  std::string error;
-  if (!manifest.Write(manifest_path, &error)) {
-    std::fprintf(stderr, "sweep[%s]: %s\n", grid.name.c_str(), error.c_str());
-    return 1;
-  }
-
-  ShardExecutor executor(manifest, options);
-  const bool ok = executor.Run(
-      [&grid](const ManifestPoint& point) { return grid.cases[point.index].run(); }, &error);
-  const ShardStats& stats = executor.stats();
-  std::printf(
-      "sweep[%s]: shard %d/%d points_done=%llu points_skipped=%llu points_failed=%llu "
-      "wall_ms=%llu -> %s\n",
-      grid.name.c_str(), options.shard_index, options.shard_count,
-      static_cast<unsigned long long>(stats.points_done),
-      static_cast<unsigned long long>(stats.points_skipped),
-      static_cast<unsigned long long>(stats.points_failed),
-      static_cast<unsigned long long>(stats.shard_wall_ms), executor.CsvPath().c_str());
-  if (!ok) {
-    std::fprintf(stderr, "sweep[%s]: %s\n", grid.name.c_str(), error.c_str());
-    return 1;
-  }
-  return 0;
 }
 
 }  // namespace themis

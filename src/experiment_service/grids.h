@@ -7,7 +7,8 @@
 // consumed by three clients that must agree byte-for-byte:
 //
 //   * the bench binaries (pretty-printed analysis + single-process CSV),
-//   * sweep_cli (shard launcher / merger for multi-machine campaigns),
+//   * sweep_cli (the one shard launcher and merger for multi-machine
+//     campaigns; the benches always run their whole grid),
 //   * the shard-invariance tests and the CI byte-equality gate.
 //
 // Keeping the case lists, config resolution, and CSV cell formatting in one
@@ -125,7 +126,7 @@ extern const char kFig5CsvHeader[];
 GridDef Fig5GridDef(CollectiveKind kind, uint64_t bytes, const std::string& grid_name,
                     const std::string& figure_name);
 
-// --- Registry + launcher plumbing -------------------------------------------
+// --- Registry + message sizing ---------------------------------------------
 
 // Builtin grids by name: "fct", "fct-smoke", "fig5-allreduce",
 // "fig5-alltoall". Returns an empty grid (and `error`) for unknown names.
@@ -137,17 +138,6 @@ std::vector<std::string> BuiltinGridNames();
 // A THEMIS_BENCH_MB that is not a positive whole number below 2^44 (junk,
 // trailing characters, 0, or overflow) is reported on stderr and exits 1.
 uint64_t SweepMessageBytes(uint64_t default_mib);
-
-// Env-driven shard mode for the bench binaries and CI:
-//   THEMIS_SHARDS=<n>        enables shard mode (the bench runs one shard
-//                            and exits instead of its normal sweep)
-//   THEMIS_SHARD_INDEX=<i>   this shard (default 0)
-//   THEMIS_SHARD_DIR=<path>  artifact directory (default ".")
-//   THEMIS_SHARD_RESUME=1    journal replay before executing
-bool ShardEnvRequested();
-// Writes the manifest, runs the shard, prints the sweep.* summary line, and
-// returns a process exit code.
-int RunShardFromEnv(const GridDef& grid);
 
 }  // namespace themis
 

@@ -1,11 +1,13 @@
 #include "src/scenario/scenario_script.h"
 
 #include <cctype>
+#include <climits>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
+
+#include "src/sim/parse_number.h"
 
 namespace themis {
 namespace {
@@ -59,35 +61,18 @@ bool ParseTime(const std::string& text, TimePs* out) {
   } else {
     return false;
   }
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(digits.c_str(), &end);
-  if (errno != 0 || end == nullptr || *end != '\0' || value < 0) {
+  // A time must stay below kTimeInfinity in picoseconds, where the
+  // double-to-TimePs cast below is defined.
+  constexpr double kLimitPs = static_cast<double>(kTimeInfinity);
+  double value = 0.0;
+  if (!ParseNumber(digits, 0.0, kLimitPs / static_cast<double>(scale), &value, nullptr)) {
     return false;
   }
-  *out = static_cast<TimePs>(value * static_cast<double>(scale) + 0.5);
-  return true;
-}
-
-bool ParseDouble(const std::string& text, double* out) {
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (errno != 0 || end == nullptr || *end != '\0' || end == text.c_str()) {
+  const double ps = value * static_cast<double>(scale) + 0.5;
+  if (ps >= kLimitPs) {
     return false;
   }
-  *out = value;
-  return true;
-}
-
-bool ParseInt(const std::string& text, int* out) {
-  errno = 0;
-  char* end = nullptr;
-  const long value = std::strtol(text.c_str(), &end, 10);
-  if (errno != 0 || end == nullptr || *end != '\0' || end == text.c_str()) {
-    return false;
-  }
-  *out = static_cast<int>(value);
+  *out = static_cast<TimePs>(ps);
   return true;
 }
 
@@ -159,10 +144,7 @@ bool ParseScenario(const std::string& text, ScenarioScript* out, std::string* er
       if (tokens.size() != 2) {
         return Fail(error, line_no, "seed takes one integer");
       }
-      errno = 0;
-      char* end = nullptr;
-      out->seed = std::strtoull(tokens[1].c_str(), &end, 10);
-      if (errno != 0 || end == nullptr || *end != '\0') {
+      if (!ParseNumber<uint64_t>(tokens[1], 0, UINT64_MAX, &out->seed, nullptr)) {
         return Fail(error, line_no, "bad seed value '" + tokens[1] + "'");
       }
       continue;
@@ -175,8 +157,9 @@ bool ParseScenario(const std::string& text, ScenarioScript* out, std::string* er
       continue;
     }
     if (head == "restore-fraction") {
-      if (tokens.size() != 2 || !ParseDouble(tokens[1], &out->restore_fraction) ||
-          out->restore_fraction <= 0.0 || out->restore_fraction > 1.0) {
+      if (tokens.size() != 2 ||
+          !ParseNumber(tokens[1], 0.0, 1.0, &out->restore_fraction, nullptr) ||
+          out->restore_fraction <= 0.0) {
         return Fail(error, line_no, "restore-fraction must be in (0, 1]");
       }
       continue;
@@ -226,7 +209,7 @@ bool ParseScenario(const std::string& text, ScenarioScript* out, std::string* er
           return Fail(error, line_no, "bad duration '" + value + "'");
         }
       } else if (key == "repeat") {
-        if (!ParseInt(value, &event.repeat) || event.repeat < 1) {
+        if (!ParseNumber(value, 1, INT_MAX, &event.repeat, nullptr)) {
           return Fail(error, line_no, "repeat must be a positive integer");
         }
       } else if (key == "period") {
@@ -234,17 +217,15 @@ bool ParseScenario(const std::string& text, ScenarioScript* out, std::string* er
           return Fail(error, line_no, "bad period '" + value + "'");
         }
       } else if (key == "drop") {
-        if (!ParseDouble(value, &event.drop_prob) || event.drop_prob < 0.0 ||
-            event.drop_prob > 1.0) {
+        if (!ParseNumber(value, 0.0, 1.0, &event.drop_prob, nullptr)) {
           return Fail(error, line_no, "drop probability must be in [0, 1]");
         }
       } else if (key == "corrupt") {
-        if (!ParseDouble(value, &event.corrupt_prob) || event.corrupt_prob < 0.0 ||
-            event.corrupt_prob > 1.0) {
+        if (!ParseNumber(value, 0.0, 1.0, &event.corrupt_prob, nullptr)) {
           return Fail(error, line_no, "corrupt probability must be in [0, 1]");
         }
       } else if (key == "factor") {
-        have_factor = ParseDouble(value, &event.factor);
+        have_factor = ParseNumber(value, 0.0, 1.0, &event.factor, nullptr);
         if (!have_factor || event.factor <= 0.0 || event.factor >= 1.0) {
           return Fail(error, line_no, "factor must be in (0, 1)");
         }

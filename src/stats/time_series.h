@@ -18,20 +18,25 @@ struct Sample {
   double value;
 };
 
-// q in [0, 1] over an unsorted copy of `values`; linear interpolation
+// q in [0, 1] over ascending `sorted` (non-empty); linear interpolation
 // between adjacent order statistics (the same convention NumPy's default
-// percentile uses). Returns 0 for an empty input.
+// percentile uses).
+inline double SortedPercentile(const std::vector<double>& sorted, double q) {
+  const double rank = q * static_cast<double>(sorted.size() - 1);
+  const auto lo = static_cast<size_t>(rank);
+  const size_t hi = std::min(lo + 1, sorted.size() - 1);
+  const double frac = rank - static_cast<double>(lo);
+  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+}
+
+// SortedPercentile over an unsorted copy of `values`; 0 for an empty input.
 inline double PercentileOf(const std::vector<double>& values, double q) {
   if (values.empty()) {
     return 0.0;
   }
   std::vector<double> sorted = values;
   std::sort(sorted.begin(), sorted.end());
-  const double rank = q * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<size_t>(rank);
-  const size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+  return SortedPercentile(sorted, q);
 }
 
 // The percentile row every FCT table reports (p50/p95/p99 slowdown).
@@ -51,17 +56,10 @@ struct PercentileSummary {
     }
     std::vector<double> sorted = values;
     std::sort(sorted.begin(), sorted.end());
-    auto at = [&sorted](double q) {
-      const double rank = q * static_cast<double>(sorted.size() - 1);
-      const auto lo = static_cast<size_t>(rank);
-      const size_t hi = std::min(lo + 1, sorted.size() - 1);
-      const double frac = rank - static_cast<double>(lo);
-      return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-    };
-    s.p50 = at(0.50);
-    s.p90 = at(0.90);
-    s.p95 = at(0.95);
-    s.p99 = at(0.99);
+    s.p50 = SortedPercentile(sorted, 0.50);
+    s.p90 = SortedPercentile(sorted, 0.90);
+    s.p95 = SortedPercentile(sorted, 0.95);
+    s.p99 = SortedPercentile(sorted, 0.99);
     s.max = sorted.back();
     return s;
   }

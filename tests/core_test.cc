@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "src/core/experiment.h"
@@ -201,6 +202,30 @@ TEST(SweepRunnerTest, MapReturnsResultsInInputOrder) {
   ASSERT_EQ(doubled.size(), items.size());
   for (size_t i = 0; i < items.size(); ++i) {
     EXPECT_EQ(doubled[i], static_cast<int>(i) * 2);
+  }
+}
+
+// THEMIS_SWEEP_THREADS resolves before any worker exists, so a bad value is
+// tested on ResolveThreadCount itself, never by starting a pool.
+TEST(SweepRunnerTest, ThreadEnvIsParsedWhole) {
+  setenv("THEMIS_SWEEP_THREADS", "3", /*overwrite=*/1);
+  EXPECT_EQ(SweepRunner::ResolveThreadCount(0), 3);
+  EXPECT_EQ(SweepRunner::ResolveThreadCount(5), 5);  // explicit count wins
+  setenv("THEMIS_SWEEP_THREADS", "0", /*overwrite=*/1);
+  EXPECT_GE(SweepRunner::ResolveThreadCount(0), 1);  // 0 = hardware concurrency
+  unsetenv("THEMIS_SWEEP_THREADS");
+}
+
+TEST(SweepRunnerDeathTest, RejectsMalformedThreadEnv) {
+  const std::string above = std::to_string(SweepRunner::kMaxThreads + 1);
+  for (const std::string bad : {"4x", "", " 4", "-1", "abc", above.c_str(), "99999999999"}) {
+    EXPECT_EXIT(
+        {
+          setenv("THEMIS_SWEEP_THREADS", bad.c_str(), /*overwrite=*/1);
+          SweepRunner::ResolveThreadCount(0);
+        },
+        testing::ExitedWithCode(1), "THEMIS_SWEEP_THREADS='" + bad + "': ")
+        << "value '" << bad << "'";
   }
 }
 

@@ -113,6 +113,19 @@ TEST(ScenarioScriptTest, ValidationRejectsMalformedEvents) {
                              &script, &error));
   // Times need a unit suffix.
   EXPECT_FALSE(ParseScenario("flap target=a at=100 down=1us\n", &script, &error));
+  // Numbers that do not fit their field are errors on their own line, never
+  // wrapped (2^32 + 1 as an int is 1) or cast out of TimePs range.
+  EXPECT_FALSE(ParseScenario("seed 1\nflap target=a at=1us down=1us repeat=4294967297 "
+                             "period=1ms\n",
+                             &script, &error));
+  EXPECT_NE(error.find("line 2: repeat"), std::string::npos) << error;
+  for (const char* at : {"1e300s", "9300000s", "99999999999999999999ps"}) {
+    EXPECT_FALSE(ParseScenario("seed 1\nflap target=a at=" + std::string(at) + " down=1us\n",
+                               &script, &error))
+        << at;
+    EXPECT_NE(error.find("line 2: bad time"), std::string::npos) << error;
+  }
+  EXPECT_FALSE(ParseScenario("seed -1\n", &script, &error));
 }
 
 TEST(ScenarioScriptTest, DownTimeDrawsAreSeededAndInRange) {

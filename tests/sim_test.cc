@@ -3,9 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "src/sim/event_queue.h"
+#include "src/sim/parse_number.h"
 #include "src/sim/random.h"
 #include "src/sim/simulator.h"
 #include "src/sim/time.h"
@@ -267,6 +269,41 @@ TEST(RngTest, RangeInclusive) {
   }
   EXPECT_TRUE(saw_lo);
   EXPECT_TRUE(saw_hi);
+}
+
+TEST(ParseNumberTest, AcceptsOnlyAWholeNumberInRange) {
+  int i = -7;
+  EXPECT_TRUE(ParseNumber<int>("42", 0, 100, &i, nullptr));
+  EXPECT_EQ(i, 42);
+  EXPECT_TRUE(ParseNumber<int>("-3", -5, 5, &i, nullptr));
+  EXPECT_EQ(i, -3);
+  double d = 0.0;
+  EXPECT_TRUE(ParseNumber("2e-3", 0.0, 1.0, &d, nullptr));
+  EXPECT_EQ(d, 2e-3);
+  EXPECT_TRUE(ParseNumber("0.3", 0.0, 1.0, &d, nullptr));
+  EXPECT_EQ(d, 0.3);
+
+  std::string reason;
+  for (const char* junk : {"", "8x", " 8", "8 ", "+8", "abc", "0x10", "1.5"}) {
+    EXPECT_FALSE(ParseNumber<int>(junk, 0, 100, &i, &reason)) << junk;
+    EXPECT_EQ(reason, "not a whole number") << junk;
+  }
+  EXPECT_EQ(i, -3);  // untouched by every failure
+  for (const char* junk : {"0.3x", "inf", "nan", "", "-"}) {
+    EXPECT_FALSE(ParseNumber(junk, -10.0, 10.0, &d, &reason)) << junk;
+    EXPECT_EQ(reason, "not a finite number") << junk;
+  }
+
+  uint64_t u = 0;
+  EXPECT_FALSE(ParseNumber<uint64_t>("-1", 0, UINT64_MAX, &u, &reason));
+  EXPECT_EQ(reason, "not a whole number");
+  uint32_t u32 = 0;
+  EXPECT_FALSE(ParseNumber<uint32_t>("4294967297", 0, UINT32_MAX, &u32, &reason));
+  EXPECT_EQ(reason, "out of range [0, 4294967295]");
+  EXPECT_FALSE(ParseNumber<int>("101", 0, 100, &i, &reason));
+  EXPECT_EQ(reason, "out of range [0, 100]");
+  EXPECT_FALSE(ParseNumber("1e400", 0.0, 1.5, &d, &reason));
+  EXPECT_EQ(reason, "out of range [0, 1.5]");
 }
 
 }  // namespace
