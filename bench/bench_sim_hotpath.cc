@@ -8,8 +8,9 @@
 //     queue depth of a few hundred entries.
 //  2. A real Fig.-1-scale collective (2x4x8 hosts, RandomSpray + NIC-SR +
 //     DCQCN), measuring end-to-end events/sec through the full model stack,
-//     the per-tier schedule counts, and the calendar's collected bucket
-//     and entry counts, all exact and identical on every rep.
+//     the per-tier schedule counts, the calendar's collected bucket and
+//     entry counts, and its node-pool high-water mark (the most entries
+//     ever bucketed at once), all exact and identical on every rep.
 //
 // Rates are host-dependent trends; the event and schedule counts are the
 // determinism anchor (CI pins them).
@@ -104,6 +105,7 @@ struct TierBreakdown {
   uint64_t calendar = 0;
   uint64_t calendar_buckets_collected = 0;
   uint64_t calendar_entries_collected = 0;
+  uint64_t calendar_node_pool = 0;  // high-water mark of bucketed entries
   double best_events_per_sec = 0.0;
   uint64_t events_executed = 0;  // determinism anchor: identical across reps
 };
@@ -142,6 +144,7 @@ TierBreakdown RunFig1Scale(int reps) {
                               q.calendar_scheduled(),
                               q.calendar().buckets_collected(),
                               q.calendar().entries_collected(),
+                              q.calendar().node_pool_size(),
                               best,
                               exp.sim().events_executed()};
   }
@@ -152,16 +155,18 @@ TierBreakdown RunFig1Scale(int reps) {
               static_cast<unsigned long long>(breakdown.calendar),
               100.0 * static_cast<double>(breakdown.calendar) /
                   static_cast<double>(breakdown.heap + breakdown.wheel + breakdown.calendar));
-  std::printf("  calendar collected: %llu buckets, %llu entries (%.2f per bucket)\n",
+  std::printf("  calendar collected: %llu buckets, %llu entries (%.2f per bucket); "
+              "node pool peak %llu\n",
               static_cast<unsigned long long>(breakdown.calendar_buckets_collected),
               static_cast<unsigned long long>(breakdown.calendar_entries_collected),
               static_cast<double>(breakdown.calendar_entries_collected) /
-                  static_cast<double>(breakdown.calendar_buckets_collected));
+                  static_cast<double>(breakdown.calendar_buckets_collected),
+              static_cast<unsigned long long>(breakdown.calendar_node_pool));
   return breakdown;
 }
 
-// Writes the per-tier breakdown, the calendar collection counts, the
-// executed-event count and the best rate as CSV when THEMIS_HOTPATH_CSV
+// Writes the per-tier breakdown, the calendar collection counts and node-pool
+// peak, the executed-event count and the best rate as CSV when THEMIS_HOTPATH_CSV
 // names a path; CI uploads it as an artifact and checks the counts against
 // pinned values and the entries-per-bucket bound.
 void MaybeWriteTierCsv(const TierBreakdown& fig1) {
@@ -181,6 +186,8 @@ void MaybeWriteTierCsv(const TierBreakdown& fig1) {
   std::fprintf(f, "calendar_buckets_collected,%llu\ncalendar_entries_collected,%llu\n",
                static_cast<unsigned long long>(fig1.calendar_buckets_collected),
                static_cast<unsigned long long>(fig1.calendar_entries_collected));
+  std::fprintf(f, "calendar_node_pool,%llu\n",
+               static_cast<unsigned long long>(fig1.calendar_node_pool));
   std::fprintf(f, "fig1_events_executed,%llu\n",
                static_cast<unsigned long long>(fig1.events_executed));
   std::fprintf(f, "fig1_best_events_per_sec,%.0f\n", fig1.best_events_per_sec * 1e6);

@@ -168,6 +168,11 @@ int main(int argc, char** argv) {
 
   const TimePs deadline = workload.window * 40;
   const FctWorkloadResult result = RunFctWorkload(config, workload, *cdf, deadline, telemetry);
+  if (!result.scenario_error.empty()) {
+    std::fprintf(stderr, "--scenario='%s': %s\n", scenario_name.c_str(),
+                 result.scenario_error.c_str());
+    return 1;
+  }
   const long long rate_gbps = config.link_rate.bps() / Rate::Gbps(1).bps();
   const long long window_us = workload.window / kMicrosecond;
 

@@ -1,8 +1,6 @@
 #include "src/core/experiment.h"
 
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 
 #include "src/traffic/fluid_model.h"
 
@@ -206,16 +204,16 @@ Experiment::Experiment(const ExperimentConfig& config) : config_(config), sim_(c
 
   // Chaos engine from config. An empty script builds nothing — no engine, no
   // timers — so scenario-free runs are bit-exact by construction. A target
-  // typo aborts loudly: a campaign that silently faults nothing would report
-  // meaningless recovery numbers.
+  // that matches nothing leaves no engine and a located scenario_error() for
+  // the caller to report: a campaign that silently faults nothing would
+  // report meaningless recovery numbers.
   if (!config_.scenario.empty()) {
     scenario_ = std::make_unique<ScenarioEngine>(&sim_, config_.scenario, config_.seed);
-    std::string error;
-    if (!scenario_->Attach(topology_, themis_.get(), hosts_, &error)) {
-      std::fprintf(stderr, "scenario attach failed: %s\n", error.c_str());
-      std::abort();
+    if (scenario_->Attach(topology_, themis_.get(), hosts_, &scenario_error_)) {
+      scenario_->Start();
+    } else {
+      scenario_.reset();
     }
-    scenario_->Start();
   }
 }
 

@@ -12,6 +12,7 @@
 #define THEMIS_SRC_CORE_EXPERIMENT_H_
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/collective/alltoall.h"
@@ -159,8 +160,8 @@ struct ExperimentConfig {
   // leaves every run bit-exactly identical to a scenario-free build — the
   // same absent-when-off contract as traffic_model == kNone, pinned by the
   // determinism goldens. A non-empty script is resolved against the topology
-  // at construction (std::abort on a target that matches nothing) and starts
-  // with the experiment.
+  // at construction and starts with the experiment; a target that matches
+  // nothing is reported through Experiment::scenario_error() instead.
   ScenarioScript scenario;
 
   // --- Transport & CC ------------------------------------------------------
@@ -212,8 +213,14 @@ class Experiment {
   std::vector<Port*> FabricPorts() const;
 
   // --- Fault injection -----------------------------------------------------
-  // The running chaos engine; null when config().scenario is empty.
+  // The running chaos engine; null when config().scenario is empty or could
+  // not be attached.
   ScenarioEngine* scenario() { return scenario_.get(); }
+  // Why config().scenario could not be attached, located by event number and
+  // target ("scenario event 1 (flap): target 'tor0:up0' matches no switch");
+  // empty when it attached or is empty. Check it before running: with an
+  // error set, no fault is injected.
+  const std::string& scenario_error() const { return scenario_error_; }
 
   // --- Workload helpers ----------------------------------------------------
   // Paper Section 5 grouping: group g contains the g-th host of every ToR,
@@ -275,6 +282,7 @@ class Experiment {
   // After traffic_: the scenario dtor uninstalls gray-fault hooks from ports
   // owned by network_, which must still be alive.
   std::unique_ptr<ScenarioEngine> scenario_;
+  std::string scenario_error_;
 };
 
 }  // namespace themis

@@ -48,8 +48,11 @@ bool Network::AutoSizeScheduler(uint32_t mtu_bytes) {
   while (horizon < needed && horizon < 4096 * slot) {
     horizon <<= 1;
   }
-  // In-flight population: a busy directed port keeps one serialization-done
-  // event pending plus one delivery per MTU packet on the wire.
+  // Firing population: over one serialization + propagation window a busy
+  // directed port fires one serialization-done event plus one delivery per
+  // MTU packet on the wire. This estimates how densely events fire, not how
+  // many are pending: a port keeps only its wire's head delivery filed
+  // (Port::DeliverHeadInFlight), yet the others fire at the same spacing.
   uint64_t population = 0;
   for (const DuplexLink& link : links_) {
     for (const LinkEnd& end : {link.a, link.b}) {
@@ -64,8 +67,8 @@ bool Network::AutoSizeScheduler(uint32_t mtu_bytes) {
   }
   // Bucket width: the largest power of two not above the mean spacing of
   // that population over twice the (quantum + propagation) window. With
-  // every port busy and their events spread evenly, a bucket then holds
-  // about one entry; ports that fire in lockstep still share one. Clamped
+  // every port busy and their events spread evenly, a bucket's window then
+  // sees about one firing; ports that fire in lockstep still share one. Clamped
   // to [32 ps, ~16.8 us] to keep degenerate fabrics harmless.
   const uint64_t spacing = std::max<uint64_t>(
       1, static_cast<uint64_t>(2 * (quantum + max_propagation_delay_)) / population);

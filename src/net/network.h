@@ -64,10 +64,10 @@ class Network {
   // Horizon: a serialization plus the longest propagation delay, twice over
   // (the cursor re-anchors mid-horizon), with slack; it sets how far ahead
   // an entry may fire before it overflows to the heap. Bucket width: the
-  // largest power of two not above that window over the fabric's in-flight
+  // largest power of two not above that window over the fabric's firing
   // population — per directed port, one serialization event plus one
-  // delivery per MTU packet on the wire — so buckets stay a few entries
-  // deep at full load.
+  // delivery per MTU packet on the wire fire in the window — so buckets
+  // stay a few entries deep at full load.
   // Topology builders call this once after wiring; Experiment re-calls it
   // with the configured MTU. Idempotent and a no-op (returns false) if
   // events are already pending or no links exist.

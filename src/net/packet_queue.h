@@ -1,10 +1,11 @@
 // Freelist-backed packet queues for the switch/port fast path.
 //
 // Port moves every packet through three FIFO queues (control, data,
-// in-flight). Backing them with std::deque means the allocator is hit every
-// time a deque block is carved or returned, on the hottest path in the
-// simulator. A PacketArena recycles fixed-size nodes through a freelist:
-// after warm-up, pushing and popping packets performs no allocation at all.
+// in-flight; the last also carries each packet's delivery event key).
+// Backing them with std::deque means the allocator is hit every time a
+// deque block is carved or returned, on the hottest path in the simulator.
+// A PacketArena recycles fixed-size nodes through a freelist: after
+// warm-up, pushing and popping packets performs no allocation at all.
 // The arena is per-simulator — Network owns one and shares it across every
 // node it creates — so nodes freed by one port are reused by any other,
 // and nothing is shared between concurrently running experiments
@@ -20,15 +21,29 @@
 #include <vector>
 
 #include "src/net/packet.h"
+#include "src/sim/time.h"
 
 namespace themis {
 
+// The (time, seq) event key a keyed queue records for each packet behind
+// its head (see PacketQueue::push_back_keyed).
+struct DeliveryKey {
+  TimePs time = 0;
+  uint64_t seq = 0;
+};
+
 class PacketArena {
  public:
-  struct Node {
+  // One cache line: the packet, the link to the next node, and that next
+  // node's delivery key. Storing the successor's key beside the `next` link
+  // means push_back_keyed writes only the tail node it already touches, and
+  // pop_front_keyed reads only the head node.
+  struct alignas(64) Node {
     Packet pkt;
     Node* next = nullptr;
+    DeliveryKey next_key;  // keyed queues only: the key of `next`
   };
+  static_assert(sizeof(Node) == 64, "arena node must stay one cache line");
 
   PacketArena() = default;
   PacketArena(const PacketArena&) = delete;
@@ -95,6 +110,32 @@ class PacketQueue {
     }
     tail_ = node;
     ++size_;
+  }
+
+  // Keyed FIFO (Port::in_flight_): appends `pkt` whose pending event would
+  // carry `key`. Returns true if the queue was empty — the caller schedules
+  // that event itself; otherwise the key waits in the predecessor's node
+  // until pop_front_keyed hands it out.
+  bool push_back_keyed(const Packet& pkt, DeliveryKey key) {
+    const bool was_empty = tail_ == nullptr;
+    if (!was_empty) {
+      tail_->next_key = key;
+    }
+    push_back(pkt);
+    return was_empty;
+  }
+
+  // Moves the head packet into *pkt and pops it. Returns true, with the new
+  // head's key in *next_key, if another packet follows.
+  bool pop_front_keyed(Packet* pkt, DeliveryKey* next_key) {
+    assert(head_ != nullptr);
+    *pkt = head_->pkt;
+    const bool has_next = head_->next != nullptr;
+    if (has_next) {
+      *next_key = head_->next_key;
+    }
+    pop_front();
+    return has_next;
   }
 
   Packet& front() {

@@ -168,22 +168,31 @@ void Port::StartNextTransmission() {
         (static_cast<uint64_t>(serialization) * bg_steal_q16_) >> 16);
   }
 
-  // Wire frees up after serialization completes. Both events below are the
-  // per-packet hot path: tagged, callback-free calendar entries that
-  // Port::Dispatch decodes.
+  // Wire frees up after serialization completes: a tagged, callback-free
+  // calendar entry that Port::Dispatch decodes.
   sim_->SchedulePortEvent(serialization, MakeTag(this, kPortTagTxDone));
 
   // Peer sees the packet after serialization + propagation, unless the link
   // failed while the packet was in flight. Per-link arrivals are FIFO, so
-  // the event needs no payload.
-  in_flight_.push_back(pkt);
-  sim_->SchedulePortEvent(serialization + propagation_delay_,
-                          MakeTag(this, kPortTagDeliver));
+  // only the head of in_flight_ has a pending delivery: this packet's
+  // (arrival, seq) key is reserved now, exactly as if it were scheduled now,
+  // and waits in the queue until its predecessor delivers.
+  const DeliveryKey key{sim_->now() + serialization + propagation_delay_, sim_->ReserveSeq()};
+  if (in_flight_.push_back_keyed(pkt, key)) {
+    sim_->SchedulePortEventAt(key.time, key.seq, MakeTag(this, kPortTagDeliver));
+  }
 }
 
 void Port::DeliverHeadInFlight() {
-  Packet pkt = in_flight_.front();
-  in_flight_.pop_front();
+  Packet pkt;
+  DeliveryKey next;
+  // The successor's delivery is filed first, before either early return
+  // below: a failed or gray link still owes every in-flight packet its own
+  // event. Its key is never earlier than the one firing now, so filing it
+  // late leaves the global (time, seq) order unchanged.
+  if (in_flight_.pop_front_keyed(&pkt, &next)) {
+    sim_->SchedulePortEventAt(next.time, next.seq, MakeTag(this, kPortTagDeliver));
+  }
   if (failed_) {
     // The link died while the packet was in flight: account it like the
     // other drop paths instead of discarding it silently.

@@ -213,15 +213,15 @@ class Port {
   bool failed_ = false;
   bool paused_ = false;
   TimePs pause_since_ = 0;  // valid while paused_
-  PauseIntervalLog pause_log_;
   // Freelist-backed FIFOs (see packet_queue.h): the per-packet fast path
   // recycles queue nodes through the simulator-wide arena instead of
   // round-tripping the allocator.
   PacketQueue control_queue_;
   PacketQueue data_queue_;
-  // Packets serialized onto the wire but not yet delivered. Arrival events
-  // are bare kPortTagDeliver tags that carry no packet; the FIFO is valid
-  // because per-link arrival times are monotone.
+  // Packets serialized onto the wire but not yet delivered. Per-link arrival
+  // times are monotone, so only the head has a pending kPortTagDeliver event
+  // (a bare tag that carries no packet); each packet behind it waits with
+  // the (arrival, seq) key reserved when it started serializing.
   PacketQueue in_flight_;
   int64_t queued_data_bytes_ = 0;
   // Exogenous pressure (SetBackgroundPressure): virtual occupancy and the
@@ -237,6 +237,12 @@ class Port {
 
   EcnProfile ecn_{.enabled = false};
   PortStats stats_;
+
+  // Cold, and last on purpose: the log is ~1 KB (most of a Port) and is read
+  // only on pause transitions and Themis-D grace-window queries. Every field
+  // above is touched per packet; keeping the log out from between them keeps
+  // a port's hot state within a few cache lines.
+  PauseIntervalLog pause_log_;
 };
 
 }  // namespace themis

@@ -1,14 +1,16 @@
 // A calendar queue for line-rate one-shot events.
 //
-// Port serialization/delivery events dominate the event stream: two per
-// packet, both scheduled at most one serialization quantum plus one
-// propagation delay ahead of now. Every busy port contributes such a chain,
-// so the fabric as a whole fires them at a spacing of roughly
-// (quantum + propagation) / in-flight population. A calendar queue whose
-// bucket width is tuned to that fabric-wide spacing
-// (Network::AutoSizeScheduler) makes this hot path O(1) per event: insert
-// links a node into the target bucket, and the cursor collects at most one
-// bucket of a few entries per pop.
+// Port serialization/delivery events dominate the event stream: two fire per
+// packet, both at most one serialization quantum plus one propagation delay
+// after the packet starts serializing. Every busy port contributes such a
+// chain, so the fabric as a whole fires them at a spacing of roughly
+// (quantum + propagation) / in-flight population. Few are pending at once,
+// though: a port files a TxDone when it starts a packet and keeps one
+// delivery pending for the head of its wire, not one per packet on the wire
+// (Port::DeliverHeadInFlight). A calendar queue whose bucket width is tuned
+// to that fabric-wide spacing (Network::AutoSizeScheduler) makes this hot
+// path O(1) per event: insert links a node into the target bucket, and the
+// cursor collects at most one bucket of a few entries per pop.
 //
 // Determinism contract: every entry carries the sequence number handed out
 // by the owning EventQueue, buckets drain through a small ready heap ordered
@@ -194,6 +196,9 @@ class CalendarQueue {
   // bounds the ready heap's depth; the geometry keeps it in single digits.
   uint64_t buckets_collected() const { return buckets_collected_; }
   uint64_t entries_collected() const { return entries_collected_; }
+  // Nodes carved since the last Clear(): the most entries ever bucketed at
+  // once, since collected nodes are recycled before the pool grows.
+  size_t node_pool_size() const { return nodes_.size(); }
 
   void Clear() {
     std::fill(heads_.begin(), heads_.end(), kNil);

@@ -13,12 +13,20 @@
 //    (time, seq, node) keys; callbacks stay put in a freelist node pool, and
 //    each node records its heap position, so CancelTimer() removes the entry
 //    in O(log n) and leaves no garbage event behind.
-//  * ScheduleLineRate() — a calendar queue tuned to the fabric's in-flight
-//    event density for the per-packet serialization/delivery chain (two
-//    events per packet, the hot path at fig1/fig5 scale). Insert and pop
-//    are O(1); entries beyond the calendar horizon overflow to the heap.
+//  * ScheduleLineRate() — a calendar queue tuned to the fabric's event
+//    firing density for the port serialization/delivery chain (the hot
+//    path at fig1/fig5 scale). Insert and pop are O(1); entries beyond the
+//    calendar horizon overflow to the heap.
 // Pop() merges the tiers by (time, sequence), so the observable firing
 // order is exactly what a single global heap would produce.
+//
+// Reserved sequence numbers: ReserveSeq() hands out the next sequence number
+// without inserting anything, and the explicit-seq inserts
+// (ScheduleLineRateTagged, ScheduleAtSeq) file an entry under it later. The
+// firing order is the same as if the entry had been inserted at reservation
+// time, provided it is inserted before the queue pops any event that its
+// (time, seq) key precedes. Ports rely on this to keep one pending delivery
+// per link (see Port::DeliverHeadInFlight).
 
 #ifndef THEMIS_SRC_SIM_EVENT_QUEUE_H_
 #define THEMIS_SRC_SIM_EVENT_QUEUE_H_
@@ -52,10 +60,7 @@ class EventQueue {
 
   // Schedules `cb` to fire at absolute time `at`. `at` must not be earlier
   // than the time of the most recently popped event.
-  void ScheduleAt(TimePs at, Callback cb) {
-    Push(at, std::move(cb));
-    ++heap_scheduled_;
-  }
+  void ScheduleAt(TimePs at, Callback cb) { ScheduleAtSeq(at, next_seq_++, std::move(cb)); }
 
   // Line-rate fast path: one-shot events a serialization quantum or so out
   // (port serialization/delivery, NIC line holds) ride the calendar tier;
@@ -69,24 +74,35 @@ class EventQueue {
     }
   }
 
-  // Callback-free line-rate entry, described entirely by a non-zero `tag`
-  // the Simulator's dispatcher decodes. Returns false when the calendar
-  // cannot house `at` — the caller must then wrap the tag in a heap event
-  // (the heap tier carries no tags).
-  bool ScheduleLineRateTagged(TimePs at, uint64_t tag) {
+  // Returns the next queue-wide sequence number, consumed as if an event had
+  // been scheduled now; the caller files its entry later under it.
+  uint64_t ReserveSeq() { return next_seq_++; }
+
+  // Callback-free line-rate entry under `seq` (from ReserveSeq()), described
+  // entirely by a non-zero `tag` the Simulator's dispatcher decodes. Returns
+  // false when the calendar cannot house `at` — the caller must then wrap
+  // the tag in a heap event under the same seq (ScheduleAtSeq; the heap tier
+  // carries no tags).
+  bool ScheduleLineRateTagged(TimePs at, uint64_t seq, uint64_t tag) {
     if (!calendar_.Accepts(at)) {
       return false;
     }
-    calendar_.ScheduleTagged(at, next_seq_++, tag);
+    calendar_.ScheduleTagged(at, seq, tag);
     ++calendar_scheduled_;
     return true;
+  }
+
+  // Heap entry under `seq` (from ReserveSeq()); counts as heap_scheduled().
+  void ScheduleAtSeq(TimePs at, uint64_t seq, Callback cb) {
+    Push(at, seq, std::move(cb));
+    ++heap_scheduled_;
   }
 
   // Schedules a cancellable heap entry. The returned id stays valid until
   // the entry fires or is cancelled, or the queue is cleared.
   TimerId ScheduleTimer(TimePs at, Callback cb) {
     ++wheel_scheduled_;
-    const uint32_t node = Push(at, std::move(cb));
+    const uint32_t node = Push(at, next_seq_++, std::move(cb));
     return TimerId{static_cast<int32_t>(node), nodes_[node].generation};
   }
 
@@ -227,7 +243,7 @@ class EventQueue {
     return t < top.time || (t == top.time && calendar_.ReadySeq() < top.seq);
   }
 
-  uint32_t Push(TimePs at, Callback cb) {
+  uint32_t Push(TimePs at, uint64_t seq, Callback cb) {
     uint32_t node = free_node_;
     if (node != kNil) {
       free_node_ = nodes_[node].pos;
@@ -236,7 +252,7 @@ class EventQueue {
       node = static_cast<uint32_t>(nodes_.size());
       nodes_.push_back(Node{std::move(cb)});
     }
-    heap_.push_back(Key{at, next_seq_++, node});
+    heap_.push_back(Key{at, seq, node});
     SiftUp(heap_.size() - 1);
     return node;
   }

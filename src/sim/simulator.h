@@ -6,15 +6,16 @@
 //
 // Two scheduling tiers (see event_queue.h): plain Schedule()/ScheduleAt()
 // events and cancellable timers (Timer, PeriodicTimer, ScheduleTimer) share
-// one cancellable binary heap; line-rate one-shots (ScheduleSerialization)
-// ride a calendar queue sized to the fabric's in-flight event density. Both
-// tiers draw sequence numbers from the same counter, so the firing order —
-// and therefore every fixed-seed trace — is identical to a single global
-// heap.
+// one cancellable binary heap; line-rate one-shots (ScheduleSerialization,
+// SchedulePortEvent) ride a calendar queue sized to the fabric's event
+// firing density. Both tiers draw sequence numbers from the same counter,
+// so the firing order — and therefore every fixed-seed trace — is
+// identical to a single global heap.
 
 #ifndef THEMIS_SRC_SIM_SIMULATOR_H_
 #define THEMIS_SRC_SIM_SIMULATOR_H_
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <utility>
@@ -78,9 +79,21 @@ class Simulator {
   // ScheduleSerialization; entries beyond the calendar horizon ride the heap
   // wrapped in a self-dispatching callback.
   void SchedulePortEvent(TimePs delay, uint64_t tag) {
-    const TimePs at = now_ + delay;
-    if (!queue_.ScheduleLineRateTagged(at, tag)) {
-      queue_.ScheduleAt(at, EventCallback::MustInline([this, tag] {
+    SchedulePortEventAt(now_ + delay, ReserveSeq(), tag);
+  }
+
+  // Reserves the sequence number an event scheduled now would carry, for an
+  // entry the caller files later with SchedulePortEventAt (see EventQueue).
+  uint64_t ReserveSeq() { return queue_.ReserveSeq(); }
+
+  // Tagged line-rate event at absolute time `at` under a reserved `seq`. It
+  // fires exactly where an event scheduled at reservation time would have,
+  // provided (at, seq) does not precede the event now executing. Heap
+  // fallback keeps the same seq.
+  void SchedulePortEventAt(TimePs at, uint64_t seq, uint64_t tag) {
+    assert(at >= now_);
+    if (!queue_.ScheduleLineRateTagged(at, seq, tag)) {
+      queue_.ScheduleAtSeq(at, seq, EventCallback::MustInline([this, tag] {
         line_rate_dispatcher_(*this, tag);
       }));
     }

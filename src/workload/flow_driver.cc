@@ -145,6 +145,11 @@ FctWorkloadResult RunFctWorkloadEx(const ExperimentConfig& exp_config,
                                    const FctRunOptions& options) {
   const FctTelemetryOptions& telemetry = options.telemetry;
   Experiment exp(exp_config);
+  if (!exp.scenario_error().empty()) {
+    FctWorkloadResult result;
+    result.scenario_error = exp.scenario_error();
+    return result;
+  }
   if (options.replay != nullptr) {
     // Trace-calibrated hybrid: replay the recorded pressure series at its
     // own cadence (replacing any config-built engine).

@@ -16,6 +16,7 @@
 #ifndef THEMIS_SRC_WORKLOAD_FLOW_DRIVER_H_
 #define THEMIS_SRC_WORKLOAD_FLOW_DRIVER_H_
 
+#include <string>
 #include <vector>
 
 #include "src/core/experiment.h"
@@ -66,6 +67,9 @@ struct FctWorkloadResult {
   // record per injected fault occurrence, with recovery-time endpoints,
   // drop counts, and victim-flow tallies (see RecoveryTracker).
   std::vector<FaultRecord> scenario_faults;
+  // Experiment::scenario_error() of the run's experiment. When set, nothing
+  // ran and every other field keeps its default.
+  std::string scenario_error;
 
   // Slowdowns of completed *foreground* flows, record order.
   std::vector<double> Slowdowns() const;

@@ -5,12 +5,20 @@
 #include <fstream>
 #include <sstream>
 
+#include "src/sim/parse_number.h"
+
 namespace themis {
 
 namespace {
 
 // Validation shared by FromPoints (assert) and Parse (error string).
-std::string ValidatePoints(const std::vector<FlowSizeCdf::Point>& points) {
+// `lines[i]` is the 1-based text line of points[i]; null numbers the points
+// themselves (builtin tables).
+std::string ValidatePoints(const std::vector<FlowSizeCdf::Point>& points,
+                           const std::vector<int>* lines = nullptr) {
+  auto line = [lines](size_t i) {
+    return std::to_string(lines != nullptr ? (*lines)[i] : static_cast<int>(i) + 1);
+  };
   if (points.empty()) {
     return "CDF has no points";
   }
@@ -19,11 +27,10 @@ std::string ValidatePoints(const std::vector<FlowSizeCdf::Point>& points) {
   }
   for (size_t i = 1; i < points.size(); ++i) {
     if (points[i].bytes < points[i - 1].bytes) {
-      return "flow sizes must be non-decreasing (line " + std::to_string(i + 1) + ")";
+      return "flow sizes must be non-decreasing (line " + line(i) + ")";
     }
     if (points[i].cum_prob < points[i - 1].cum_prob) {
-      return "cumulative probabilities must be non-decreasing (line " +
-             std::to_string(i + 1) + ")";
+      return "cumulative probabilities must be non-decreasing (line " + line(i) + ")";
     }
   }
   if (std::abs(points.back().cum_prob - 1.0) > 1e-9) {
@@ -61,7 +68,14 @@ FlowSizeCdf FlowSizeCdf::FromPoints(std::string name, std::vector<Point> points)
 
 bool FlowSizeCdf::Parse(const std::string& name, const std::string& text, FlowSizeCdf* out,
                         std::string* error) {
+  auto fail = [error](int line_no, const std::string& what) {
+    if (error != nullptr) {
+      *error = "line " + std::to_string(line_no) + ": " + what;
+    }
+    return false;
+  };
   std::vector<Point> points;
+  std::vector<int> lines;
   std::istringstream in(text);
   std::string line;
   int line_no = 0;
@@ -72,27 +86,33 @@ bool FlowSizeCdf::Parse(const std::string& name, const std::string& text, FlowSi
       line.resize(hash);
     }
     std::istringstream fields(line);
-    double bytes = 0.0;
-    double prob = 0.0;
-    if (!(fields >> bytes)) {
+    std::string bytes_text;
+    std::string prob_text;
+    if (!(fields >> bytes_text)) {
       continue;  // blank / comment-only line
     }
-    if (!(fields >> prob) || bytes < 0.0) {
-      if (error != nullptr) {
-        *error = "line " + std::to_string(line_no) + ": expected '<bytes> <cum_prob>'";
-      }
-      return false;
+    if (!(fields >> prob_text)) {
+      return fail(line_no, "expected '<bytes> <cum_prob>'");
     }
     std::string rest;
     if (fields >> rest) {
-      if (error != nullptr) {
-        *error = "line " + std::to_string(line_no) + ": trailing garbage '" + rest + "'";
-      }
-      return false;
+      return fail(line_no, "trailing garbage '" + rest + "'");
+    }
+    // Sizes parse as doubles so "1e6" stays legal; the bound keeps the
+    // conversion to uint64_t defined.
+    double bytes = 0.0;
+    double prob = 0.0;
+    std::string reason;
+    if (!ParseNumber(bytes_text, 0.0, static_cast<double>(kMaxFlowBytes), &bytes, &reason)) {
+      return fail(line_no, "flow size '" + bytes_text + "': " + reason);
+    }
+    if (!ParseNumber(prob_text, 0.0, 1.0, &prob, &reason)) {
+      return fail(line_no, "cumulative probability '" + prob_text + "': " + reason);
     }
     points.push_back(Point{static_cast<uint64_t>(bytes), prob});
+    lines.push_back(line_no);
   }
-  const std::string invalid = ValidatePoints(points);
+  const std::string invalid = ValidatePoints(points, &lines);
   if (!invalid.empty()) {
     if (error != nullptr) {
       *error = invalid;

@@ -12,7 +12,8 @@
 // literature (DCTCP web search, Facebook Hadoop, Alibaba storage); user
 // CDFs load from the text format specified in examples/cdfs/README.md:
 // one "<bytes> <cumulative_probability>" pair per line, '#' comments,
-// both columns non-decreasing, last probability 1.0.
+// sizes in [0, kMaxFlowBytes], probabilities in [0, 1], both columns
+// non-decreasing, last probability 1.0.
 
 #ifndef THEMIS_SRC_WORKLOAD_FLOW_SIZE_CDF_H_
 #define THEMIS_SRC_WORKLOAD_FLOW_SIZE_CDF_H_
@@ -35,6 +36,11 @@ class FlowSizeCdf {
     uint64_t bytes;
     double cum_prob;
   };
+
+  // Largest flow size Parse accepts: 1 TB. A flow that size lasts 20 s at
+  // 400 Gb/s, far past any simulated run, and every size up to it is an
+  // exact double, so the sampler's interpolation stays exact.
+  static constexpr uint64_t kMaxFlowBytes = 1'000'000'000'000;
 
   // Validates monotonicity and the final probability; aborts via assert on
   // programmer-supplied (builtin) tables, so user input goes through Parse.

@@ -10,6 +10,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
+#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -647,8 +649,9 @@ TEST(CalendarStressTest, NarrowBucketsMatchReferenceAcrossClearAndReconfigure) {
         if (rng.Below(2) == 0) {
           // Tag id + 1 keeps tags non-zero; an overflowing tagged entry
           // goes to the heap wrapped in a callback, as in the Simulator.
-          if (!q.ScheduleLineRateTagged(at, static_cast<uint64_t>(id) + 1)) {
-            q.ScheduleAt(at, [&fired, id] { fired.push_back(id); });
+          const uint64_t seq = q.ReserveSeq();
+          if (!q.ScheduleLineRateTagged(at, seq, static_cast<uint64_t>(id) + 1)) {
+            q.ScheduleAtSeq(at, seq, [&fired, id] { fired.push_back(id); });
           }
         } else {
           q.ScheduleLineRate(at, [&fired, id] { fired.push_back(id); });
@@ -708,6 +711,149 @@ TEST(CalendarStressTest, NarrowBucketsMatchReferenceAcrossClearAndReconfigure) {
     const CalendarQueue& cal = q.calendar();
     EXPECT_GT(cal.buckets_collected(), 0u);
     EXPECT_GT(cal.entries_collected(), cal.buckets_collected());
+  }
+}
+
+// --- Reserved sequence numbers (one pending delivery per port) -------------
+
+// One draw of LateFiledChainsPopInReservationOrder's delay mix: zero,
+// within the horizon, or beyond it (heap overflow). Delays sit on a 256 ps
+// grid so time ties are common: an entry filed under any seq but its
+// reserved one then pops out of order.
+TimePs RandomGridDelay(Rng& rng, TimePs horizon) {
+  TimePs delay = 0;
+  switch (rng.Below(6)) {
+    case 0:
+    case 1:
+      break;
+    case 2:
+    case 3:
+      delay = static_cast<TimePs>(rng.Below(horizon));
+      break;
+    case 4:
+      delay = horizon + static_cast<TimePs>(rng.Below(horizon));
+      break;
+    default:
+      delay = static_cast<TimePs>(rng.Below(horizon / 4));
+      break;
+  }
+  return delay & ~TimePs{255};
+}
+
+// Eight chains stand in for ports: each is a FIFO of reservations with
+// non-decreasing times that files only its head entry and files the next
+// one when the head fires, as Port::DeliverHeadInFlight does. Heap events,
+// timers and line-rate callbacks share the seq counter, and delays up to
+// twice the horizon push explicit-seq entries through the heap fallback.
+// The pop order must equal a reference that saw every entry when its seq
+// was reserved.
+TEST(ReservedSeqTest, LateFiledChainsPopInReservationOrder) {
+  constexpr int kChains = 8;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    EventQueue q;
+    ASSERT_TRUE(q.ConfigureCalendar(6, 256));
+    const TimePs horizon = q.calendar().horizon();
+    struct Reserved {
+      TimePs time;
+      uint64_t seq;
+      int id;
+    };
+    std::vector<std::deque<Reserved>> chains(kChains);
+    std::vector<TimePs> chain_last(kChains, 0);
+    std::vector<RefEntry> ref;
+    std::vector<int> fired;
+    TimePs now = 0;
+    uint64_t filed_late = 0;
+    uint64_t late_heap_fallbacks = 0;
+
+    std::function<void(int)> fire_chain;
+    auto file = [&](int chain, bool late) {
+      const Reserved& head = chains[static_cast<size_t>(chain)].front();
+      if (!q.ScheduleLineRateTagged(head.time, head.seq, static_cast<uint64_t>(chain) + 1)) {
+        late_heap_fallbacks += late ? 1 : 0;
+        q.ScheduleAtSeq(head.time, head.seq, [&fire_chain, chain] { fire_chain(chain); });
+      }
+    };
+    fire_chain = [&](int chain) {
+      std::deque<Reserved>& fifo = chains[static_cast<size_t>(chain)];
+      ASSERT_EQ(fifo.front().time, now);
+      fired.push_back(fifo.front().id);
+      fifo.pop_front();
+      if (!fifo.empty()) {
+        ++filed_late;
+        file(chain, /*late=*/true);
+      }
+    };
+    auto reserve = [&](int chain) {
+      TimePs& last = chain_last[static_cast<size_t>(chain)];
+      last = std::max(last, now + RandomGridDelay(rng, horizon));
+      const int id = static_cast<int>(ref.size());
+      const uint64_t seq = q.ReserveSeq();
+      ref.push_back(RefEntry{last, seq, id, false, false});
+      std::deque<Reserved>& fifo = chains[static_cast<size_t>(chain)];
+      fifo.push_back(Reserved{last, seq, id});
+      if (fifo.size() == 1) {
+        file(chain, /*late=*/false);  // an empty chain files its head at once
+      }
+    };
+    auto schedule_other = [&]() {
+      const TimePs at = now + RandomGridDelay(rng, horizon);
+      const int id = static_cast<int>(ref.size());
+      ref.push_back(RefEntry{at, q.total_scheduled(), id, false, false});
+      auto cb = [&fired, id] { fired.push_back(id); };
+      switch (rng.Below(3)) {
+        case 0:
+          q.ScheduleAt(at, cb);
+          break;
+        case 1:
+          q.ScheduleTimer(at, cb);
+          break;
+        default:
+          q.ScheduleLineRate(at, cb);
+          break;
+      }
+    };
+    auto pop_one = [&]() {
+      TimePs t = 0;
+      EventQueue::Callback cb;
+      uint64_t tag = 0;
+      ASSERT_TRUE(q.PopEvent(kTimeInfinity, &t, &cb, &tag));
+      ASSERT_GE(t, now);
+      now = t;
+      if (tag != 0) {
+        fire_chain(static_cast<int>(tag - 1));
+      } else {
+        cb();
+      }
+    };
+
+    for (int op = 0; op < 40'000; ++op) {
+      const uint64_t roll = rng.Below(100);
+      if (roll < 40) {
+        reserve(static_cast<int>(rng.Below(kChains)));
+      } else if (roll < 52 || q.empty()) {
+        schedule_other();
+      } else {
+        pop_one();
+      }
+    }
+    while (!q.empty()) {
+      pop_one();
+    }
+
+    std::sort(ref.begin(), ref.end(), [](const RefEntry& a, const RefEntry& b) {
+      return a.time < b.time || (a.time == b.time && a.seq < b.seq);
+    });
+    ASSERT_EQ(fired.size(), ref.size()) << "seed=" << seed;
+    for (size_t i = 0; i < fired.size(); ++i) {
+      ASSERT_EQ(fired[i], ref[i].id) << "seed=" << seed << " i=" << i;
+    }
+    // Both filing paths ran: late inserts onto the calendar and, for keys
+    // beyond the horizon, onto the heap under their reserved seq.
+    EXPECT_GT(filed_late, 1000u) << "seed=" << seed;
+    EXPECT_GT(late_heap_fallbacks, 10u) << "seed=" << seed;
+    EXPECT_GT(q.calendar_scheduled(), 1000u) << "seed=" << seed;
   }
 }
 
@@ -778,7 +924,7 @@ TEST(PopEventTest, RespectsDeadlineAcrossTiers) {
   q.ScheduleLineRate(100, [&order] { order.push_back(0); });
   q.ScheduleTimer(200, [&order] { order.push_back(1); });
   q.ScheduleAt(300, [&order] { order.push_back(2); });
-  ASSERT_TRUE(q.ScheduleLineRateTagged(400, /*tag=*/0xbeef));
+  ASSERT_TRUE(q.ScheduleLineRateTagged(400, q.ReserveSeq(), /*tag=*/0xbeef));
 
   TimePs t = 0;
   EventQueue::Callback cb;

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "src/net/ecn.h"
@@ -301,6 +302,95 @@ TEST(PortTest, StatsCountTxBytes) {
   EXPECT_EQ(h.ab()->stats().tx_packets, 2u);
   EXPECT_EQ(h.ab()->stats().tx_bytes, 1500u + kControlPacketBytes);
   EXPECT_EQ(h.ab()->stats().tx_data_bytes, 1500u);
+}
+
+// --- One pending delivery per port -------------------------------------------
+// A port files a delivery event only for the head of its wire; the packets
+// behind it wait with the (arrival, seq) key reserved when they started
+// serializing. These pin that the lazy chain changes no arrival, drop or
+// event count relative to one delivery event per packet.
+
+constexpr int kLongLinkPackets = 200;
+
+LinkSpec LongLink() {
+  LinkSpec spec;
+  spec.rate = Rate::Gbps(100);  // 120 ns per 1500 B packet
+  spec.propagation_delay = 10 * kMicrosecond;  // ~83 packets on the wire
+  spec.queue_capacity_bytes = 1 << 20;
+  return spec;
+}
+
+TimePs LongLinkArrival(int i) { return (i + 1) * 120 * kNanosecond + 10 * kMicrosecond; }
+
+void SendBackToBack(Port* port, int n) {
+  for (int i = 0; i < n; ++i) {
+    port->Send(MakeDataPacket(1, 0, 1, static_cast<uint32_t>(i), 1436, 0));
+  }
+}
+
+TEST(PortTest, LongLinkKeepsAtMostTwoCalendarEntries) {
+  Harness h(LongLink());
+  ASSERT_TRUE(h.net.AutoSizeScheduler(1500));
+  SendBackToBack(h.ab(), kLongLinkPackets);
+  const TimePs end = LongLinkArrival(kLongLinkPackets - 1);
+  // Step through the run: at every point the port has at most its TxDone
+  // and its head delivery pending, although ~83 packets share the wire.
+  size_t max_pending = 0;
+  for (TimePs t = 0; t <= end; t += 10 * kNanosecond) {
+    h.sim.RunUntil(t);
+    max_pending = std::max(max_pending, h.sim.queue().calendar_pending());
+  }
+  h.sim.Run();
+  EXPECT_LE(max_pending, 2u);
+  EXPECT_LE(h.sim.queue().calendar().node_pool_size(), 2u);
+  // Every event still rode the calendar, and each fired once.
+  EXPECT_EQ(h.sim.queue().calendar_scheduled(), 2u * kLongLinkPackets);
+  EXPECT_EQ(h.sim.events_executed(), 2u * kLongLinkPackets);
+  // Arrivals follow the per-packet schedule: serialization back to back,
+  // then the propagation delay.
+  ASSERT_EQ(h.b->arrivals.size(), static_cast<size_t>(kLongLinkPackets));
+  for (int i = 0; i < kLongLinkPackets; ++i) {
+    EXPECT_EQ(h.b->arrivals[static_cast<size_t>(i)].time, LongLinkArrival(i)) << "packet " << i;
+    EXPECT_EQ(h.b->arrivals[static_cast<size_t>(i)].pkt.psn, static_cast<uint32_t>(i));
+  }
+}
+
+TEST(PortTest, MidFlightFailureDropsEachPacketAtItsOwnArrival) {
+  Harness h(LongLink());
+  ASSERT_TRUE(h.net.AutoSizeScheduler(1500));
+  constexpr int kPackets = 50;  // all serialized by 6 us
+  SendBackToBack(h.ab(), kPackets);
+  // Packets 0..3 land by 10.48 us; the link fails at 10.5 us with the
+  // other 46 still on the wire.
+  constexpr int kDelivered = 4;
+  h.sim.ScheduleAt(10'500 * kNanosecond, [&h] { h.ab()->set_failed(true); });
+  for (int i = kDelivered; i < kPackets; ++i) {
+    const uint64_t dropped_before = static_cast<uint64_t>(i - kDelivered);
+    h.sim.RunUntil(LongLinkArrival(i) - 1);
+    EXPECT_EQ(h.ab()->stats().drops, dropped_before) << "packet " << i;
+    h.sim.RunUntil(LongLinkArrival(i));
+    EXPECT_EQ(h.ab()->stats().drops, dropped_before + 1) << "packet " << i;
+  }
+  h.sim.Run();
+  EXPECT_EQ(h.b->arrivals.size(), static_cast<size_t>(kDelivered));
+  EXPECT_EQ(h.ab()->stats().drops, static_cast<uint64_t>(kPackets - kDelivered));
+  EXPECT_EQ(h.ab()->stats().drop_bytes, 1500u * (kPackets - kDelivered));
+  // One TxDone and one delivery per packet, plus the failure event.
+  EXPECT_EQ(h.sim.events_executed(), 2u * kPackets + 1);
+}
+
+TEST(PortTest, GrayDropsStillFileTheSuccessorDelivery) {
+  Harness h(LongLink());
+  ASSERT_TRUE(h.net.AutoSizeScheduler(1500));
+  GrayFault gray{Rng(3), /*drop_prob=*/1.0, /*corrupt_prob=*/0.0};
+  h.ab()->set_gray_fault(&gray);
+  SendBackToBack(h.ab(), kLongLinkPackets);
+  h.sim.Run();
+  EXPECT_TRUE(h.b->arrivals.empty());
+  EXPECT_EQ(gray.drops, static_cast<uint64_t>(kLongLinkPackets));
+  EXPECT_EQ(h.ab()->stats().drops, static_cast<uint64_t>(kLongLinkPackets));
+  EXPECT_EQ(h.sim.events_executed(), 2u * kLongLinkPackets);
+  EXPECT_EQ(h.sim.now(), LongLinkArrival(kLongLinkPackets - 1));
 }
 
 TEST(NetworkTest, ConnectCreatesBidirectionalPorts) {

@@ -60,6 +60,31 @@ TEST(FlowSizeCdfTest, RejectsMalformedInput) {
   EXPECT_FALSE(FlowSizeCdf::Parse("bad", "# nothing here\n", &cdf, &error));
 }
 
+// Sizes and probabilities go through ParseNumber: a value outside its range
+// is reported with its own line, never cast (1e30 does not fit a uint64_t).
+TEST(FlowSizeCdfTest, RejectsOutOfRangeValuesWithTheirLine) {
+  FlowSizeCdf cdf;
+  std::string error;
+  EXPECT_FALSE(FlowSizeCdf::Parse("bad", "1000 0.5\n1e30 1.0\n", &cdf, &error));
+  EXPECT_EQ(error, "line 2: flow size '1e30': out of range [0, 1e+12]");
+  EXPECT_FALSE(FlowSizeCdf::Parse("bad", "# header\n\n-5 0.5\n100 1.0\n", &cdf, &error));
+  EXPECT_EQ(error, "line 3: flow size '-5': out of range [0, 1e+12]");
+  EXPECT_FALSE(FlowSizeCdf::Parse("bad", "100 0.5\n200 inf\n", &cdf, &error));
+  EXPECT_EQ(error, "line 2: cumulative probability 'inf': not a finite number");
+  EXPECT_FALSE(FlowSizeCdf::Parse("bad", "12kB 1.0\n", &cdf, &error));
+  EXPECT_EQ(error, "line 1: flow size '12kB': not a finite number");
+  EXPECT_FALSE(FlowSizeCdf::Parse("bad", "100 1.5\n", &cdf, &error));
+  EXPECT_EQ(error, "line 1: cumulative probability '1.5': out of range [0, 1]");
+  // Ordering errors name the file line, not the knee's index.
+  EXPECT_FALSE(FlowSizeCdf::Parse("bad", "# c\n200 0.5\n\n100 1.0\n", &cdf, &error));
+  EXPECT_EQ(error, "flow sizes must be non-decreasing (line 4)");
+  // The bound itself and exponent notation are accepted.
+  ASSERT_TRUE(FlowSizeCdf::Parse("edge", "1e6 0.5\n1000000000000 1.0\n", &cdf, &error))
+      << error;
+  EXPECT_EQ(cdf.points()[0].bytes, 1'000'000u);
+  EXPECT_EQ(cdf.points()[1].bytes, FlowSizeCdf::kMaxFlowBytes);
+}
+
 TEST(FlowSizeCdfTest, LoadFileRoundTripsAndNamesAfterBasename) {
   const std::string path = testing::TempDir() + "/toy_cdf.txt";
   {
